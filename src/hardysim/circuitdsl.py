@@ -61,8 +61,19 @@ class CircuitError(Exception):
         self.message = message
 
 
+class _StageTransform:
+    """Builds a stage's verified transform on the first call and keeps it on the record,
+    outside the dataclass fields, so equality, hashing and repr ignore it."""
+
+    def transform(self) -> optics.ModeTransform:
+        built = self.__dict__.get("_transform")
+        if built is None:
+            built = self.__dict__["_transform"] = self._build()
+        return built
+
+
 @dataclass(frozen=True)
-class BeamSplitterStage:
+class BeamSplitterStage(_StageTransform):
     transmissivity: Fraction
     in1: ModeLabel
     in2: ModeLabel
@@ -73,15 +84,13 @@ class BeamSplitterStage:
     def arm(self) -> Arm:
         return self.in1.arm
 
-    in_place = False
-
     def inputs(self) -> tuple[ModeLabel, ...]:
         return (self.in1, self.in2)
 
     def outputs(self) -> tuple[ModeLabel, ...]:
         return (self.out1, self.out2)
 
-    def transform(self) -> optics.ModeTransform:
+    def _build(self) -> optics.ModeTransform:
         return optics.beamsplitter(self.transmissivity, self.in1, self.in2, self.out1, self.out2)
 
     def render(self) -> str:
@@ -90,7 +99,7 @@ class BeamSplitterStage:
 
 
 @dataclass(frozen=True)
-class PhaseStage:
+class PhaseStage(_StageTransform):
     quarter_turns: int
     mode: ModeLabel
 
@@ -98,15 +107,13 @@ class PhaseStage:
     def arm(self) -> Arm:
         return self.mode.arm
 
-    in_place = True
-
     def inputs(self) -> tuple[ModeLabel, ...]:
         return (self.mode,)
 
     def outputs(self) -> tuple[ModeLabel, ...]:
         return (self.mode,)
 
-    def transform(self) -> optics.ModeTransform:
+    def _build(self) -> optics.ModeTransform:
         return optics.phase_shift(self.quarter_turns, self.mode)
 
     def render(self) -> str:
@@ -114,11 +121,9 @@ class PhaseStage:
 
 
 @dataclass(frozen=True)
-class PresetStage:
+class PresetStage(_StageTransform):
     name: str
     arm: Arm
-
-    in_place = False
 
     def inputs(self) -> tuple[ModeLabel, ...]:
         return tuple(ModeLabel(n, self.arm) for n in optics.PRESET_IO[self.name][0])
@@ -126,7 +131,7 @@ class PresetStage:
     def outputs(self) -> tuple[ModeLabel, ...]:
         return tuple(ModeLabel(n, self.arm) for n in optics.PRESET_IO[self.name][1])
 
-    def transform(self) -> optics.ModeTransform:
+    def _build(self) -> optics.ModeTransform:
         return optics.preset(self.name, self.arm)
 
     def render(self) -> str:

@@ -1,5 +1,5 @@
 """Evolution pipeline: evolve the source through the stages, post-select on the
-discard set, renormalise, and read exact Born weights out of the result."""
+discard set, and read exact Born weights out of the result."""
 
 from __future__ import annotations
 
@@ -40,12 +40,8 @@ def _row_order(item):
 
 @dataclass(frozen=True)
 class OutcomeTable:
-    """Exact joint probabilities per detector pair.
-
-    ``kept_weight`` is the post-selection survival probability of the run the
-    rows came from; rows from a renormalised state sum to 1, rows straight
-    from a sub-normalised state sum to that state's squared norm.
-    """
+    """Exact joint probabilities per detector pair; the rows always sum to 1.
+    ``kept_weight`` is the post-selection survival probability of their run."""
 
     rows: Mapping[PairKey, Fraction]
     kept_weight: Fraction
@@ -104,11 +100,11 @@ def renormalize(state: TwoPhotonState) -> TwoPhotonState:
 
 
 def probabilities(state: TwoPhotonState, kept_weight: Fraction | None = None) -> OutcomeTable:
-    """One row per term: the exact Born weight |amplitude|^2."""
-    rows = {key: amp.norm_sq().as_rational() for key, amp in state.terms()}
-    if kept_weight is None:
-        kept_weight = sum(rows.values(), Fraction(0))
-    return OutcomeTable(rows, Fraction(kept_weight))
+    """One row per term: its exact Born weight |amplitude|^2 over the state's own
+    squared norm, so rows sum to 1; ``kept_weight`` defaults to that norm."""
+    norm = state.norm_sq().as_rational()
+    rows = {key: (amp.norm_sq() / norm).as_rational() for key, amp in state.terms()}
+    return OutcomeTable(rows, Fraction(norm if kept_weight is None else kept_weight))
 
 
 def conditional(state: TwoPhotonState, given: ModeLabel) -> dict[ModeLabel, Fraction]:
@@ -129,9 +125,8 @@ def conditional(state: TwoPhotonState, given: ModeLabel) -> dict[ModeLabel, Frac
 
 
 def run(circuit: Circuit) -> OutcomeTable:
-    """Full pipeline: evolve, post-select on the discard set, renormalise, tabulate."""
-    state = evolve(circuit)
-    kept_state, kept = postselect(state, circuit.discard)
+    """Full pipeline: evolve, post-select on the discard set, tabulate (no square root)."""
+    kept_state, kept = postselect(evolve(circuit), circuit.discard)
     if kept_state.is_zero:
         raise ZeroState("post-selection removed every term")
-    return probabilities(renormalize(kept_state), kept_weight=kept)
+    return probabilities(kept_state, kept_weight=kept)

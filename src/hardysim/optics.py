@@ -73,13 +73,6 @@ class ModeTransform:
         elif inputs & outputs:
             raise ValueError("input and output modes overlap; declare the element in-place")
 
-    def input_labels(self) -> tuple[ModeLabel, ...]:
-        return tuple(sorted(self.columns, key=str))
-
-    def output_labels(self) -> tuple[ModeLabel, ...]:
-        outs = {out for pairs in self.columns.values() for out, _ in pairs}
-        return tuple(sorted(outs, key=str))
-
 
 def beamsplitter(t, in1: ModeLabel, in2: ModeLabel, out1: ModeLabel, out2: ModeLabel) -> ModeTransform:
     """Two-mode splitter: transmitted amplitude sqrt(t), reflected i*sqrt(1-t).

@@ -180,12 +180,24 @@ class ProductVerdict:
     product_p: Fraction | None
 
 
+class _Conditionals(dict):
+    """Single-sided exit distributions by the other photon's root label, each computed on
+    first use: contextual rules read none, and an unread one may have irrational weights."""
+
+    def __init__(self, single_plus: TwoPhotonState, single_minus: TwoPhotonState):
+        super().__init__()
+        self._single = {Arm.MINUS: single_plus, Arm.PLUS: single_minus}
+
+    def __missing__(self, given: ModeLabel) -> dict[ModeLabel, Fraction]:
+        found = self[given] = engine.conditional(self._single[given.arm], given)
+        return found
+
+
 @dataclass(frozen=True)
 class _Context:
-    circuit: Circuit
     graph: TrajectoryGraph
-    single_plus: TwoPhotonState
-    single_minus: TwoPhotonState
+    kept_weight: Fraction
+    given: _Conditionals
     full: TwoPhotonState
 
 
@@ -222,7 +234,7 @@ def _arm_graph(arm: Arm, support: tuple[ModeLabel, ...], stages) -> ArmGraph:
 
 def _analyze(circuit: Circuit) -> _Context:
     prep, region = _split_preparation(circuit)
-    root, _ = engine.postselect(_fold(circuit.source, prep), circuit.discard)
+    root, kept = engine.postselect(_fold(circuit.source, prep), circuit.discard)
     if root.is_zero:
         raise engine.ZeroState("post-selection removed every source trajectory")
     for stage in region:
@@ -238,12 +250,13 @@ def _analyze(circuit: Circuit) -> _Context:
         root_state=root,
         joint_roots=root.keys(),
     )
+    # The arms act on separate labels: the plus-only state, evolved on minus, is the full one.
+    single_plus = _fold(root, plus_stages)
     return _Context(
-        circuit=circuit,
         graph=graph,
-        single_plus=_fold(root, plus_stages),
-        single_minus=_fold(root, minus_stages),
-        full=_fold(root, region),
+        kept_weight=kept,
+        given=_Conditionals(single_plus, _fold(root, minus_stages)),
+        full=_fold(single_plus, minus_stages),
     )
 
 
@@ -289,14 +302,12 @@ def _check(context: _Context, assignment: TrajectoryAssignment, rules: RuleSet) 
     if rules is RuleSet.LOCAL_COUNTERFACTUAL:
         if context.graph.root_state.amplitude(p_root, m_root).is_zero:
             reasons.append(f"joint start ({p_root},{m_root}) has amplitude 0 after post-selection")
-        plus_given_m = engine.conditional(context.single_plus, m_root)
-        if plus_given_m.get(p_exit, Fraction(0)) == 0:
+        if context.given[m_root].get(p_exit, Fraction(0)) == 0:
             reasons.append(
                 f"with only the plus arm evolved: given {m_root}, "
                 f"exit {p_exit} has conditional probability 0"
             )
-        minus_given_p = engine.conditional(context.single_minus, p_root)
-        if minus_given_p.get(m_exit, Fraction(0)) == 0:
+        if context.given[p_root].get(m_exit, Fraction(0)) == 0:
             reasons.append(
                 f"with only the minus arm evolved: given {p_root}, "
                 f"exit {m_exit} has conditional probability 0"
@@ -325,7 +336,7 @@ def paradox_report(circuit: Circuit, rules: RuleSet) -> ParadoxReport:
     minus_detectors = circuit.detectors_on(Arm.MINUS)
     if not plus_detectors or not minus_detectors:
         raise ValueError("paradox report requires detectors on both arms")
-    table = engine.run(circuit)
+    table = engine.probabilities(context.full, context.kept_weight)
     assignments = enumerate_assignments(context.graph)
     rows = []
     for p in plus_detectors:

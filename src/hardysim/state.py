@@ -32,10 +32,6 @@ class Arm(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-    @property
-    def other(self) -> "Arm":
-        return Arm.MINUS if self is Arm.PLUS else Arm.PLUS
-
 
 class ArmMismatch(ValueError):
     """A pairing or optical element referenced the wrong interferometer arm."""

@@ -232,3 +232,31 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+# ------------------------------------------- rational weights, irrational 1/sqrt
+
+# Every Born weight is rational (2/5 and 3/5) but 1/sqrt(kept weight 5/9)
+# needs sqrt(5): only `evolve`, which prints renormalised amplitudes, fails.
+RATIONAL_WEIGHTS = (
+    "modes + a b c\nmodes - a b c\n"
+    "source (a+,a-) (1/3)*sqrt(2); (b+,b-) (1/3)*sqrt(3); (c+,c-) (2/3)\n"
+    "discard c+\n"
+    "detect a+ b+ a- b-\n"
+)
+
+
+def test_rational_weights_tabulate_without_a_square_root(capsys, tmp_path):
+    path = tmp_path / "rational.circ"
+    path.write_text(RATIONAL_WEIGHTS)
+    code, out, err = run(capsys, "probs", str(path))
+    assert (code, err) == (0, "")
+    assert out == "kept_weight 5/9\n(a+,a-) 2/5\n(b+,b-) 3/5\n"
+    for argv in (("paradox", str(path)), ("paradox", "--rules", "contextual", str(path)),
+                 ("sample", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    code, out, err = run(capsys, "evolve", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: sqrt(9/5) needs sqrt(5), outside the basis\n"

@@ -97,7 +97,7 @@ def test_phase_shift_quarter_turns():
 def test_phase_shift_is_in_place():
     tr = phase_shift(3, minus("g"))
     assert tr.in_place
-    assert tr.input_labels() == tr.output_labels() == (minus("g"),)
+    assert tr.columns == {minus("g"): ((minus("g"), -I),)}
 
 
 # ----------------------------------------------------------------- validator

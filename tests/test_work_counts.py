@@ -1,0 +1,83 @@
+"""How much work a parse and a paradox audit do, counted at the layer boundaries.
+
+A stage builds its transform at most once and keeps it; the audit folds
+each stage into the state once per evolution it needs, never re-runs the
+whole pipeline through ``engine.run``, and computes each single-sided
+conditional at most once per root label.
+"""
+
+from collections import Counter
+
+from conftest import CIRCUITS
+from hardysim import engine, optics
+from hardysim.circuitdsl import parse
+from hardysim.paradox import RuleSet, build_graph, paradox_report
+
+# A post-selected ladder, two modes per arm: 1/3 splitters merge s0,s1 and
+# s2,s3 into the kept r0, r1 and the discarded x0, x1, then two layers of
+# balanced splitters with a phase in between lead to the detectors.  Local
+# rules reject half of its 32 assignments on single-sided zeros.
+LADDER = """\
+modes + s0 s1 s2 s3 r0 r1 x0 x1 k0 k1 e0 e1
+modes - s0 s1 s2 s3 r0 r1 x0 x1 k0 k1 e0 e1
+source (s0+,s0-) (1/2); (s1+,s1-) (1/2); (s2+,s2-) (1/2); (s3+,s3-) (1/2)
+stage bs 1/3 s0+ s1+ -> r0+ x0+
+stage bs 1/3 s2+ s3+ -> r1+ x1+
+stage bs 1/3 s0- s1- -> r0- x0-
+stage bs 1/3 s2- s3- -> r1- x1-
+stage bs 1/2 r0+ r1+ -> k0+ k1+
+stage phase 2 k1+
+stage bs 1/2 r0- r1- -> k0- k1-
+stage bs 1/2 k1+ k0+ -> e1+ e0+
+stage phase 3 k0-
+stage bs 1/2 k1- k0- -> e1- e0-
+discard x0+ x1+ x0- x1-
+detect e0+ e1+ e0- e1-
+"""
+
+
+def _count_calls(monkeypatch, module, name, counter, key=None):
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        counter[name if key is None else key(*args)] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_each_stage_transform_is_built_once_and_the_audit_never_reruns(monkeypatch):
+    built, runs, given = Counter(), Counter(), Counter()
+    for name in ("beamsplitter", "phase_shift", "preset"):
+        _count_calls(monkeypatch, optics, name, built)
+    _count_calls(monkeypatch, engine, "run", runs)
+    _count_calls(monkeypatch, engine, "conditional", given, key=lambda state, label: label)
+    full_text = (CIRCUITS / "hardy_full.circ").read_text(encoding="utf-8")
+    for text, kinds in ((full_text, {"preset": 4}),
+                        (LADDER, {"beamsplitter": 8, "phase_shift": 2})):
+        built.clear()
+        circuit = parse(text)
+        assert built["beamsplitter"] == kinds.get("beamsplitter", 0)
+        graph = build_graph(circuit)
+        roots = {label for pair in graph.joint_roots for label in pair}
+        for rules in RuleSet:
+            given.clear()
+            report = paradox_report(circuit, rules)
+            assert report.kept_weight > 0
+            assert set(given) <= roots
+            assert all(count == 1 for count in given.values()), given
+            if rules is RuleSet.LOCAL_COUNTERFACTUAL:
+                assert any(row.rejected for row in report.outcomes)
+            else:
+                assert not given
+        assert built == Counter(kinds)
+        assert sum(built.values()) == len(circuit.stages)
+    assert runs["run"] == 0
+
+
+def test_transform_returns_the_stored_object():
+    circuit = parse(LADDER)
+    for stage in circuit.stages:
+        assert stage.transform() is stage.transform()
+    # The stored transform plays no part in equality.
+    assert parse(LADDER) == circuit
