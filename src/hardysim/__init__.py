@@ -4,102 +4,9 @@ The pipeline: :mod:`~hardysim.amplitude` provides exact complex numbers over
 rationals extended by square roots of 2 and 3; :mod:`~hardysim.state` holds
 sparse two-photon states; :mod:`~hardysim.optics` builds exact isometric
 stage transforms; :mod:`~hardysim.circuitdsl` parses the circuit file
-format; :mod:`~hardysim.engine` evolves, post-selects, and tabulates exact
-outcome probabilities; :mod:`~hardysim.paradox` enumerates full-wave
-trajectories and judges them against quantum predictions;
-:mod:`~hardysim.montecarlo` draws reproducible samples and checks their fit.
+format; :mod:`~hardysim.engine` evolves, post-selects at the one boundary it
+computes, and tabulates exact outcome probabilities; :mod:`~hardysim.paradox`
+enumerates full-wave trajectories and judges them against quantum
+predictions; :mod:`~hardysim.montecarlo` draws reproducible samples and
+checks their fit.
 """
-
-from .amplitude import (
-    I,
-    ONE,
-    ZERO,
-    AmplitudeParseError,
-    NotRational,
-    RadicalComplex,
-    UnsupportedRadical,
-    inv_sqrt,
-    quarter_phase,
-    rational,
-    sqrt_rational,
-)
-from .circuitdsl import Circuit, CircuitError, parse, render
-from .engine import (
-    OutcomeTable,
-    ZeroConditioningEvent,
-    ZeroState,
-    conditional,
-    evolve,
-    postselect,
-    probabilities,
-    renormalize,
-    run,
-)
-from .montecarlo import DEFAULT_SEED, RunRecord, SplitMix64, chi_square_test, sample
-from .optics import ModeTransform, apply_transform, beamsplitter, phase_shift, preset
-from .paradox import (
-    ParadoxReport,
-    RuleSet,
-    TrajectoryAssignment,
-    TrajectoryGraph,
-    build_graph,
-    enumerate_assignments,
-    feasible,
-    paradox_report,
-    product_test,
-)
-from .state import Arm, ArmMismatch, ModeLabel, TwoPhotonState, minus, plus
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AmplitudeParseError",
-    "Arm",
-    "ArmMismatch",
-    "Circuit",
-    "CircuitError",
-    "DEFAULT_SEED",
-    "I",
-    "ModeLabel",
-    "ModeTransform",
-    "NotRational",
-    "ONE",
-    "OutcomeTable",
-    "ParadoxReport",
-    "RadicalComplex",
-    "RuleSet",
-    "RunRecord",
-    "SplitMix64",
-    "TrajectoryAssignment",
-    "TrajectoryGraph",
-    "TwoPhotonState",
-    "UnsupportedRadical",
-    "ZERO",
-    "ZeroConditioningEvent",
-    "ZeroState",
-    "apply_transform",
-    "beamsplitter",
-    "build_graph",
-    "chi_square_test",
-    "conditional",
-    "enumerate_assignments",
-    "evolve",
-    "feasible",
-    "inv_sqrt",
-    "minus",
-    "paradox_report",
-    "parse",
-    "phase_shift",
-    "plus",
-    "postselect",
-    "preset",
-    "probabilities",
-    "product_test",
-    "quarter_phase",
-    "rational",
-    "render",
-    "renormalize",
-    "run",
-    "sample",
-    "sqrt_rational",
-]

@@ -17,7 +17,8 @@ Amplitudes in the ``source`` line use the exact grammar of
 :func:`hardysim.amplitude.parse_amplitude`, e.g. ``(1/2)*sqrt(2)`` or
 ``(-1/2)*sqrt(3)*i``.  Mode liveness is checked statically: a stage may only
 consume labels that the source or an earlier stage produced and that no
-earlier stage consumed.
+earlier stage consumed, and ``discard`` and ``detect`` may only name exits,
+labels no stage consumes.
 
 Every diagnostic is a :class:`CircuitError` carrying a 1-based line and
 column plus a stable kebab-case code:
@@ -435,6 +436,8 @@ class _Parser:
                 self._err(lineno, col, "syntax", f"expected an armed mode like c+, got {tok!r}")
             label = ModeLabel(armed.group(1), Arm(armed.group(2)))
             self._check_declared(label, lineno, col)
+            if label in self.consumed:
+                self._err(lineno, col, "dead-mode", f"{label} is consumed by a stage, not an exit")
             if label in bucket:
                 self._err(lineno, col, "duplicate-mode", str(label))
             if keyword == "detect" and label in self.discard:

@@ -94,16 +94,11 @@ def _load(path: str) -> Circuit:
         raise _CliError(f"{os.path.basename(path)}:{exc}") from exc
 
 
-def _final_state(circuit: Circuit):
-    state = engine.evolve(circuit)
-    if circuit.discard:
-        state, _ = engine.postselect(state, circuit.discard)
-        state = engine.renormalize(state)
-    return state
-
-
 def _print_evolve(circuit: Circuit, fmt: str):
-    state = _final_state(circuit)
+    root, _, rest = engine.boundary(circuit)
+    state = engine.evolve(root, rest)
+    if circuit.discard:
+        state = engine.renormalize(state)
     if fmt == "json":
         print(json.dumps(state.to_json_obj(), indent=2))
     elif fmt == "csv":

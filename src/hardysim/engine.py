@@ -1,5 +1,12 @@
 """Evolution pipeline: evolve the source through the stages, post-select on the
-discard set, and read exact Born weights out of the result."""
+discard set, and read exact Born weights out of the result.
+
+This module alone decides where post-selection happens.  The parser makes
+every discarded label an exit (no stage consumes it), so post-selecting right
+after the last stage that emits into the discard set keeps the same terms and
+the same weight as post-selecting at the end.  :func:`boundary` cuts there;
+every command continues from the root state it returns.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .amplitude import inv_sqrt
-from .circuitdsl import Circuit
+from .circuitdsl import Circuit, Stage
 from .optics import apply_transform
 from .state import Arm, ModeLabel, PairKey, TwoPhotonState
 
@@ -18,6 +25,7 @@ __all__ = [
     "OutcomeTable",
     "evolve",
     "postselect",
+    "boundary",
     "renormalize",
     "probabilities",
     "conditional",
@@ -69,10 +77,9 @@ class OutcomeTable:
         }
 
 
-def evolve(circuit: Circuit) -> TwoPhotonState:
-    """The source pushed through every stage in file order (no post-selection)."""
-    state = circuit.source
-    for stage in circuit.stages:
+def evolve(state: TwoPhotonState, stages: Iterable[Stage]) -> TwoPhotonState:
+    """``state`` pushed through ``stages`` in order (no post-selection)."""
+    for stage in stages:
         state = apply_transform(state, stage.transform())
     return state
 
@@ -124,9 +131,23 @@ def conditional(state: TwoPhotonState, given: ModeLabel) -> dict[ModeLabel, Frac
     return {label: w / total for label, w in sorted(weights.items(), key=lambda kv: str(kv[0]))}
 
 
-def run(circuit: Circuit) -> OutcomeTable:
-    """Full pipeline: evolve, post-select on the discard set, tabulate (no square root)."""
-    kept_state, kept = postselect(evolve(circuit), circuit.discard)
-    if kept_state.is_zero:
+def boundary(circuit: Circuit) -> tuple[TwoPhotonState, Fraction, tuple[Stage, ...]]:
+    """The post-selected root state, its kept weight and the stages still to apply.
+
+    The cut falls right after the last stage that emits into the discard set
+    (at the source when none does).  Raises ZeroState when no term survives.
+    """
+    cut = 0
+    for index, stage in enumerate(circuit.stages, start=1):
+        if any(label in circuit.discard for label in stage.outputs()):
+            cut = index
+    root, kept = postselect(evolve(circuit.source, circuit.stages[:cut]), circuit.discard)
+    if root.is_zero:
         raise ZeroState("post-selection removed every term")
-    return probabilities(kept_state, kept_weight=kept)
+    return root, kept, circuit.stages[cut:]
+
+
+def run(circuit: Circuit) -> OutcomeTable:
+    """Full pipeline: post-select at the boundary, evolve the rest, tabulate (no square root)."""
+    root, kept, rest = boundary(circuit)
+    return probabilities(evolve(root, rest), kept_weight=kept)

@@ -4,9 +4,9 @@ Two premises define a trajectory model: each photon carries exactly one full
 wave-packet at every stage boundary of its arm, and a full wave follows the
 optical tracks (it cannot jump to a disconnected path).  Trajectories are
 therefore root-to-leaf paths through a per-arm staged DAG.  The roots sit at
-the post-selection boundary: right after the last stage that feeds the
-discard set, where the surviving part of the state fixes which labels can be
-occupied at all.
+the post-selection boundary that :func:`hardysim.engine.boundary` computes,
+where the surviving part of the state fixes which labels can be occupied at
+all; the audit evolves on from that root state with :func:`engine.evolve`.
 
 Two rule sets decide which joint assignments of one path per arm are
 feasible:
@@ -37,8 +37,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import engine
-from .circuitdsl import Circuit, Stage
-from .optics import apply_transform
+from .circuitdsl import Circuit
+# Unused here, but perfbench/spans.py wraps this attribute by name.
+from .optics import apply_transform  # noqa: F401
 from .state import Arm, ModeLabel, PairKey, TwoPhotonState
 
 __all__ = [
@@ -201,20 +202,6 @@ class _Context:
     full: TwoPhotonState
 
 
-def _split_preparation(circuit: Circuit) -> tuple[tuple[Stage, ...], tuple[Stage, ...]]:
-    cut = 0
-    for index, stage in enumerate(circuit.stages, start=1):
-        if any(label in circuit.discard for label in stage.outputs()):
-            cut = index
-    return circuit.stages[:cut], circuit.stages[cut:]
-
-
-def _fold(state: TwoPhotonState, stages) -> TwoPhotonState:
-    for stage in stages:
-        state = apply_transform(state, stage.transform())
-    return state
-
-
 def _arm_graph(arm: Arm, support: tuple[ModeLabel, ...], stages) -> ArmGraph:
     layers = [tuple(sorted(support, key=str))]
     edges = []
@@ -233,15 +220,7 @@ def _arm_graph(arm: Arm, support: tuple[ModeLabel, ...], stages) -> ArmGraph:
 
 
 def _analyze(circuit: Circuit) -> _Context:
-    prep, region = _split_preparation(circuit)
-    root, kept = engine.postselect(_fold(circuit.source, prep), circuit.discard)
-    if root.is_zero:
-        raise engine.ZeroState("post-selection removed every source trajectory")
-    for stage in region:
-        if any(label in circuit.discard for label in stage.inputs()):
-            raise ValueError(
-                f"stage consumes discarded mode after the post-selection boundary: {stage}"
-            )
+    root, kept, region = engine.boundary(circuit)
     plus_stages = tuple(s for s in region if s.arm is Arm.PLUS)
     minus_stages = tuple(s for s in region if s.arm is Arm.MINUS)
     graph = TrajectoryGraph(
@@ -251,12 +230,12 @@ def _analyze(circuit: Circuit) -> _Context:
         joint_roots=root.keys(),
     )
     # The arms act on separate labels: the plus-only state, evolved on minus, is the full one.
-    single_plus = _fold(root, plus_stages)
+    single_plus = engine.evolve(root, plus_stages)
     return _Context(
         graph=graph,
         kept_weight=kept,
-        given=_Conditionals(single_plus, _fold(root, minus_stages)),
-        full=_fold(single_plus, minus_stages),
+        given=_Conditionals(single_plus, engine.evolve(root, minus_stages)),
+        full=engine.evolve(single_plus, minus_stages),
     )
 
 

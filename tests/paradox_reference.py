@@ -3,8 +3,10 @@
 It evolves the circuit four times over (the post-selection root, the plus
 arm alone, the minus arm alone and both arms), computes the single-sided
 conditional afresh for every assignment, and reads the quantum table from
-``engine.run``.  Only the result types come from :mod:`hardysim.paradox`,
-so :func:`report` can be compared with ``paradox_report`` field by field.
+:func:`table`, which post-selects only after every stage, as ``engine.run``
+did when this reference was written.  Only the result types come from
+:mod:`hardysim.paradox`, so :func:`report` can be compared with
+``paradox_report`` field by field, and :func:`table` with ``engine.run``.
 """
 
 from fractions import Fraction
@@ -85,6 +87,15 @@ def _analyze(circuit):
     }
 
 
+def table(circuit):
+    """The outcome table with post-selection after the last stage."""
+    kept_state, kept = engine.postselect(engine.evolve(circuit.source, circuit.stages),
+                                         circuit.discard)
+    if kept_state.is_zero:
+        raise engine.ZeroState("post-selection removed every term")
+    return engine.probabilities(kept_state, kept)
+
+
 def _reasons(context, assignment, rules):
     p_root, m_root = assignment.root_pair
     p_exit, m_exit = assignment.exit_pair
@@ -117,7 +128,7 @@ def report(circuit, rules: RuleSet) -> ParadoxReport:
     minus_detectors = circuit.detectors_on(Arm.MINUS)
     if not plus_detectors or not minus_detectors:
         raise ValueError("paradox report requires detectors on both arms")
-    table = engine.run(circuit)
+    outcomes = table(circuit)
     rows = []
     for p in plus_detectors:
         for m in minus_detectors:
@@ -130,7 +141,7 @@ def report(circuit, rules: RuleSet) -> ParadoxReport:
                     rejected.append((assignment, reasons))
                 else:
                     kept.append(assignment)
-            qm_p = table.rows.get((p, m), Fraction(0))
+            qm_p = outcomes.rows.get((p, m), Fraction(0))
             if qm_p > 0 and not kept:
                 verdict = VERDICT_FORBIDDEN_BUT_PREDICTED
             elif qm_p == 0 and kept:
@@ -138,4 +149,4 @@ def report(circuit, rules: RuleSet) -> ParadoxReport:
             else:
                 verdict = VERDICT_CONSISTENT
             rows.append(OutcomeVerdict((p, m), qm_p, tuple(kept), tuple(rejected), verdict))
-    return ParadoxReport(rules, table.kept_weight, tuple(rows))
+    return ParadoxReport(rules, outcomes.kept_weight, tuple(rows))

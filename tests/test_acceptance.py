@@ -55,7 +55,7 @@ def reported(number: int):
 
 def prep_midpoint():
     circuit = parse(PREP_ONLY)
-    kept, weight = engine.postselect(engine.evolve(circuit), circuit.discard)
+    kept, weight = engine.postselect(engine.evolve(circuit.source, circuit.stages), circuit.discard)
     return engine.renormalize(kept), weight
 
 
@@ -84,7 +84,7 @@ def test_criterion_3_single_sided_structural_zeros():
         ):
             circuit = load_circuit(name)
             state = engine.renormalize(
-                engine.postselect(engine.evolve(circuit), circuit.discard)[0]
+                engine.postselect(engine.evolve(circuit.source, circuit.stages), circuit.discard)[0]
             )
             assert engine.conditional(state, given) == {expected: Fraction(1)}
         assert engine.conditional(golden.plus_measured, minus("v")) == {plus("c"): Fraction(1)}
@@ -125,7 +125,7 @@ def test_criterion_5_trajectory_verdicts():
 def test_criterion_6_reduced_circuit_and_product_test():
     with reported(6):
         circuit = load_circuit("hardy_reduced.circ")
-        assert engine.evolve(circuit) == golden.reduced_final
+        assert engine.evolve(circuit.source, circuit.stages) == golden.reduced_final
         verdict = paradox.product_test(engine.run(circuit))
         assert not verdict.feasible
         assert verdict.witness == (plus("c"), minus("c"))
@@ -138,7 +138,7 @@ def test_criterion_7_property_suites():
         # Exact norm conservation through 100 random stage pipelines.
         for _ in range(100):
             circuit = parse(support.random_circuit_text(rng))
-            assert engine.evolve(circuit).norm_sq() == circuit.source.norm_sq()
+            assert engine.evolve(circuit.source, circuit.stages).norm_sq() == circuit.source.norm_sq()
 
         # Linearity of the per-stage substitution.
         transform = beamsplitter(

@@ -97,6 +97,16 @@ def test_dead_mode():
     assert (error.line, error.column) == (4, col_of(text, 4, "w+"))
 
 
+@pytest.mark.parametrize("exit_line", ["discard c+ v+\n", "detect v+ c+\n"])
+def test_consumed_mode_is_not_an_exit(exit_line):
+    # v+ is consumed by the splitter, so it can be neither discarded nor detected.
+    text = VALID_HEAD + "stage bs 1/2 u+ v+ -> c+ d+\n" + exit_line
+    error = err(text)
+    assert error.code == "dead-mode"
+    assert (error.line, error.column) == (5, col_of(text, 5, "v+"))
+    assert error.message == "v+ is consumed by a stage, not an exit"
+
+
 def test_double_consume():
     text = VALID_HEAD + "stage bs 1/2 u+ v+ -> c+ d+\nstage bs 1/2 u+ c+ -> w+ x+\n"
     error = err(text)

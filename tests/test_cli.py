@@ -226,12 +226,35 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_domain_errors_exit_1(capsys, tmp_path):
-    path = tmp_path / "dead.circ"
-    path.write_text("modes + u\nmodes - u\nsource (u+,u-) (1/1)\ndiscard u+\n")
-    code, out, err = run(capsys, "probs", str(path))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
+    # Post-selection removing every term, and a source whose terms cancel,
+    # give every command the same message.
+    for name, text in (("dead.circ", "modes + u\nmodes - u\nsource (u+,u-) (1/1)\ndiscard u+\n"),
+                       ("cancelled.circ", "modes + u\nmodes - u\nsource (u+,u-) (1/2) - (1/2)\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        for command in ("evolve", "probs", "paradox", "sample"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (1, ""), (name, command)
+            assert err == "error: post-selection removed every term\n", (name, command)
+
+
+CONSUMED_DISCARD = (
+    "modes + u v c d\nmodes - u v\n"
+    "source (u+,u-) (1/1)/sqrt(2); (v+,v-) (1/1)/sqrt(2)\n"
+    "stage preset_eq5 +\n"
+    "discard u+\n"
+    "detect c+ d+\n"
+)
+
+
+def test_consumed_discard_is_a_positioned_diagnostic_for_every_command(capsys, tmp_path):
+    # Without the diagnostic, probs ignored the discard and printed kept_weight 1.
+    path = tmp_path / "consumed.circ"
+    path.write_text(CONSUMED_DISCARD)
+    for command in ("check", "evolve", "probs", "paradox", "sample"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, ""), command
+        assert err == "consumed.circ:5:9: dead-mode: u+ is consumed by a stage, not an exit\n"
 
 
 # ------------------------------------------- rational weights, irrational 1/sqrt

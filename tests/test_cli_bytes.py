@@ -29,10 +29,15 @@ def test_cli_reproduces_recorded_bytes(command, capsys, monkeypatch):
         expected["stdout"], expected["stderr"], expected["code"])
 
 
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_installs_and_uninstalls(capsys, monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans, run = _load("spans"), _load("run")
     monkeypatch.chdir(ROOT)
     before = cli.main
     tracer = spans.Tracer()
@@ -41,6 +46,11 @@ def test_benchmark_tracer_installs_and_uninstalls(capsys, monkeypatch):
         assert cli.main is not before
         with tracer.op(0):
             assert cli.main(["paradox", "circuits/hardy_full.circ"]) == 0
+        # The probe a traced benchmark run falls back on for layers its
+        # workload never reaches: it must reach every layer.
+        for i, argv in enumerate(run.PROBE):
+            with tracer.op(f"probe-{i}"):
+                assert cli.main(argv + ["circuits/hardy_full.circ"]) == 0, argv
     finally:
         tracer.uninstall()
     assert cli.main is before
@@ -48,4 +58,6 @@ def test_benchmark_tracer_installs_and_uninstalls(capsys, monkeypatch):
     names = {span[0] for span in tracer.spans}
     assert {"cli.main", "circuitdsl.parse", "optics.transform",
             "paradox.paradox_report", "engine.probabilities"} <= names
-    assert spans.layer_metrics(tracer.spans)["paradox.report_ms.local"] > 0
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["paradox.report_ms.local"] > 0
+    assert [name for name, value in metrics.items() if value is None] == []

@@ -23,25 +23,25 @@ PREP_ONLY = (
 
 def test_evolution_through_preparation_matches_expansion():
     circuit = parse(PREP_ONLY)
-    assert engine.evolve(circuit) == golden.prep_expanded
+    assert engine.evolve(circuit.source, circuit.stages) == golden.prep_expanded
 
 
 def test_postselection_weight_and_state():
     circuit = parse(PREP_ONLY)
-    kept, weight = engine.postselect(engine.evolve(circuit), circuit.discard)
+    kept, weight = engine.postselect(engine.evolve(circuit.source, circuit.stages), circuit.discard)
     assert weight == Fraction(1, 6)
     assert engine.renormalize(kept) == golden.kept_state
 
 
 def test_full_pipeline_final_state(hardy_full):
-    state = engine.evolve(hardy_full)
+    state = engine.evolve(hardy_full.source, hardy_full.stages)
     state, weight = engine.postselect(state, hardy_full.discard)
     assert weight == Fraction(1, 6)
     assert engine.renormalize(state) == golden.both_measured
 
 
 def test_reduced_pipeline_final_state(hardy_reduced):
-    assert engine.evolve(hardy_reduced) == golden.reduced_final
+    assert engine.evolve(hardy_reduced.source, hardy_reduced.stages) == golden.reduced_final
 
 
 def test_partial_pipelines_reproduce_single_sided_states(
@@ -51,7 +51,7 @@ def test_partial_pipelines_reproduce_single_sided_states(
         (hardy_partial_plus, golden.plus_measured),
         (hardy_partial_minus, golden.minus_measured),
     ):
-        state, weight = engine.postselect(engine.evolve(circuit), circuit.discard)
+        state, weight = engine.postselect(engine.evolve(circuit.source, circuit.stages), circuit.discard)
         assert weight == Fraction(1, 6)
         assert engine.renormalize(state) == expected
 
@@ -135,13 +135,14 @@ def test_conditional_on_zero_event_raises():
 
 def test_kept_weight_against_oracle():
     circuit = parse(PREP_ONLY)
-    _, weight = engine.postselect(engine.evolve(circuit), circuit.discard)
+    _, weight = engine.postselect(engine.evolve(circuit.source, circuit.stages), circuit.discard)
     assert abs(float(weight) - oracle.KEPT_WEIGHT) <= 1e-12
 
 
 def test_midpoint_amplitudes_against_oracle():
     circuit = parse(PREP_ONLY)
-    state = engine.renormalize(engine.postselect(engine.evolve(circuit), circuit.discard)[0])
+    evolved = engine.evolve(circuit.source, circuit.stages)
+    state = engine.renormalize(engine.postselect(evolved, circuit.discard)[0])
     for p in ("u", "v"):
         for m in ("u", "v"):
             exact = state.amplitude(plus(p), minus(m)).to_complex()
@@ -155,9 +156,8 @@ def test_final_probabilities_against_oracle(hardy_full):
 
 
 def test_final_amplitudes_against_oracle(hardy_full):
-    state = engine.renormalize(
-        engine.postselect(engine.evolve(hardy_full), hardy_full.discard)[0]
-    )
+    evolved = engine.evolve(hardy_full.source, hardy_full.stages)
+    state = engine.renormalize(engine.postselect(evolved, hardy_full.discard)[0])
     for p in ("c", "d"):
         for m in ("c", "d"):
             exact = state.amplitude(plus(p), minus(m)).to_complex()
@@ -165,7 +165,7 @@ def test_final_amplitudes_against_oracle(hardy_full):
 
 
 def test_reduced_amplitudes_against_oracle(hardy_reduced):
-    state = engine.evolve(hardy_reduced)
+    state = engine.evolve(hardy_reduced.source, hardy_reduced.stages)
     for p in ("c", "d"):
         for m in ("c", "d"):
             exact = state.amplitude(plus(p), minus(m)).to_complex()

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hardysim import engine
-from hardysim.circuitdsl import parse
+from hardysim.circuitdsl import CircuitError, parse
 from hardysim.paradox import (
     RuleSet,
     TrajectoryAssignment,
@@ -165,17 +165,18 @@ def test_report_requires_detectors_on_both_arms():
 
 
 def test_region_consuming_discarded_mode_is_rejected():
-    # u+ is discarded, yet the splitter (after the post-selection boundary,
-    # since nothing feeds the discard set) still consumes it.
-    circuit = parse(
-        "modes + u v c d\nmodes - u v\n"
-        "source (u+,u-) (1/1)/sqrt(2); (v+,v-) (1/1)/sqrt(2)\n"
-        "stage preset_eq5 +\n"
-        "discard u+\n"
-        "detect c+ d+\n"
-    )
-    with pytest.raises(ValueError):
-        build_graph(circuit)
+    # u+ is discarded, yet the splitter still consumes it: the parser rejects
+    # the discard at its token, so no audit ever sees such a circuit.
+    with pytest.raises(CircuitError) as excinfo:
+        parse(
+            "modes + u v c d\nmodes - u v\n"
+            "source (u+,u-) (1/1)/sqrt(2); (v+,v-) (1/1)/sqrt(2)\n"
+            "stage preset_eq5 +\n"
+            "discard u+\n"
+            "detect c+ d+\n"
+        )
+    error = excinfo.value
+    assert (error.line, error.column, error.code) == (5, 9, "dead-mode")
 
 
 def test_fully_discarded_source_raises():

@@ -6,7 +6,9 @@ both must raise the same exception class.  The same loop checks two
 properties of every report: contextual rules keep every assignment local
 rules keep, and the kept weight lies in (0, source weight].  The bound is the
 source's squared norm rather than 1 because random sources are not
-normalised, and the parser accepts them.
+normalised, and the parser accepts them.  On the random circuits the loop
+also checks that ``engine.run``, which post-selects at the boundary, gives
+the table of post-selecting after the last stage.
 """
 
 import random
@@ -16,6 +18,7 @@ import pytest
 import paradox_reference
 import support
 from conftest import load_circuit
+from hardysim import engine
 from hardysim.amplitude import NotRational
 from hardysim.circuitdsl import parse
 from hardysim.paradox import RuleSet, paradox_report
@@ -57,9 +60,9 @@ def _random_circuits():
         yield seed, parse(_exits(support.random_circuit_text(rng), rng))
 
 
-def _outcome(audit, circuit, rules):
+def _outcome(audit, *args):
     try:
-        return audit(circuit, rules), None
+        return audit(*args), None
     except Exception as exc:  # compared by class against the reference
         return None, type(exc)
 
@@ -90,7 +93,11 @@ def test_matches_reference_on_shipped_circuits(name):
 
 
 def test_matches_reference_on_random_circuits():
-    audited = [seed for seed, circuit in _random_circuits() if _compare(circuit, seed)]
+    audited = []
+    for seed, circuit in _random_circuits():
+        assert _outcome(engine.run, circuit) == _outcome(paradox_reference.table, circuit), seed
+        if _compare(circuit, seed):
+            audited.append(seed)
     # Most draws must reach a report, or the comparison says little.
     assert len(audited) >= len(RANDOM_SEEDS) // 2
 

@@ -3,7 +3,8 @@
 A stage builds its transform at most once and keeps it; the audit folds
 each stage into the state once per evolution it needs, never re-runs the
 whole pipeline through ``engine.run``, and computes each single-sided
-conditional at most once per root label.
+conditional at most once per root label.  ``engine.run`` post-selects once,
+at the boundary, so no stage after it carries a discarded term.
 """
 
 from collections import Counter
@@ -73,6 +74,31 @@ def test_each_stage_transform_is_built_once_and_the_audit_never_reruns(monkeypat
         assert built == Counter(kinds)
         assert sum(built.values()) == len(circuit.stages)
     assert runs["run"] == 0
+
+
+def test_run_postselects_once_and_carries_no_discarded_term_past_the_boundary(monkeypatch):
+    full_text = (CIRCUITS / "hardy_full.circ").read_text(encoding="utf-8")
+    for text in (full_text, LADDER):
+        circuit = parse(text)
+        cut = max(index for index, stage in enumerate(circuit.stages, start=1)
+                  if set(stage.outputs()) & circuit.discard)
+        after = {id(stage.transform()) for stage in circuit.stages[cut:]}
+        assert after
+        calls, carried = Counter(), []
+        _count_calls(monkeypatch, engine, "postselect", calls)
+        original = engine.apply_transform
+
+        def watching(state, transform):
+            if id(transform) in after and any(
+                    label in circuit.discard for key in state.keys() for label in key):
+                carried.append(transform)
+            return original(state, transform)
+
+        monkeypatch.setattr(engine, "apply_transform", watching)
+        engine.run(circuit)
+        monkeypatch.undo()
+        assert calls["postselect"] == 1
+        assert not carried
 
 
 def test_transform_returns_the_stored_object():
