@@ -18,26 +18,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Sequence, Union
-
-__all__ = [
-    "RadicalComplex",
-    "NotRational",
-    "UnsupportedRadical",
-    "AmplitudeParseError",
-    "rational",
-    "sqrt_rational",
-    "inv_sqrt",
-    "quarter_phase",
-    "parse_amplitude",
-    "RADICANDS",
-    "ZERO",
-    "ONE",
-    "I",
-    "SQRT2",
-    "SQRT3",
-    "SQRT6",
-]
+from typing import Sequence
 
 RADICANDS = (1, 2, 3, 6)
 
@@ -55,8 +36,6 @@ _MUL_TABLE = {
 }
 
 _SQRT_FLOAT = {k: math.sqrt(k) for k in RADICANDS}
-
-Coercible = Union["RadicalComplex", int, Fraction]
 
 
 class NotRational(ArithmeticError):

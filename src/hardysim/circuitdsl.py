@@ -31,24 +31,12 @@ column plus a stable kebab-case code:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import optics
 from .amplitude import AmplitudeParseError, UnsupportedRadical, parse_amplitude
 from .state import Arm, ModeLabel, TwoPhotonState
-
-__all__ = [
-    "CircuitError",
-    "BeamSplitterStage",
-    "PhaseStage",
-    "PresetStage",
-    "Stage",
-    "Circuit",
-    "parse",
-    "render",
-]
 
 
 class CircuitError(Exception):
@@ -64,7 +52,9 @@ class CircuitError(Exception):
 
 class _StageTransform:
     """Builds a stage's verified transform on the first call and keeps it on the record,
-    outside the dataclass fields, so equality, hashing and repr ignore it."""
+    outside the tuple of fields, so equality, hashing and repr ignore it."""
+
+    __slots__ = ()
 
     def transform(self) -> optics.ModeTransform:
         built = self.__dict__.get("_transform")
@@ -72,15 +62,19 @@ class _StageTransform:
             built = self.__dict__["_transform"] = self._build()
         return built
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-@dataclass(frozen=True)
-class BeamSplitterStage(_StageTransform):
+
+class _BeamSplitter(NamedTuple):
     transmissivity: Fraction
     in1: ModeLabel
     in2: ModeLabel
     out1: ModeLabel
     out2: ModeLabel
 
+
+class BeamSplitterStage(_BeamSplitter, _StageTransform):
     @property
     def arm(self) -> Arm:
         return self.in1.arm
@@ -99,11 +93,12 @@ class BeamSplitterStage(_StageTransform):
         return f"stage bs {t.numerator}/{t.denominator} {self.in1} {self.in2} -> {self.out1} {self.out2}"
 
 
-@dataclass(frozen=True)
-class PhaseStage(_StageTransform):
+class _Phase(NamedTuple):
     quarter_turns: int
     mode: ModeLabel
 
+
+class PhaseStage(_Phase, _StageTransform):
     @property
     def arm(self) -> Arm:
         return self.mode.arm
@@ -121,11 +116,12 @@ class PhaseStage(_StageTransform):
         return f"stage phase {self.quarter_turns} {self.mode}"
 
 
-@dataclass(frozen=True)
-class PresetStage(_StageTransform):
+class _Preset(NamedTuple):
     name: str
     arm: Arm
 
+
+class PresetStage(_Preset, _StageTransform):
     def inputs(self) -> tuple[ModeLabel, ...]:
         return tuple(ModeLabel(n, self.arm) for n in optics.PRESET_IO[self.name][0])
 
@@ -142,8 +138,7 @@ class PresetStage(_StageTransform):
 Stage = Union[BeamSplitterStage, PhaseStage, PresetStage]
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     """A validated circuit: declarations, source, staged elements, exits."""
 
     plus_modes: tuple[str, ...]

@@ -10,27 +10,13 @@ every command continues from the root state it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .amplitude import inv_sqrt
 from .circuitdsl import Circuit, Stage
 from .optics import apply_transform
 from .state import Arm, ModeLabel, PairKey, TwoPhotonState
-
-__all__ = [
-    "ZeroState",
-    "ZeroConditioningEvent",
-    "OutcomeTable",
-    "evolve",
-    "postselect",
-    "boundary",
-    "renormalize",
-    "probabilities",
-    "conditional",
-    "run",
-]
 
 
 class ZeroState(ValueError):
@@ -46,8 +32,7 @@ def _row_order(item):
     return (p.name, m.name)
 
 
-@dataclass(frozen=True)
-class OutcomeTable:
+class OutcomeTable(NamedTuple):
     """Exact joint probabilities per detector pair; the rows always sum to 1.
     ``kept_weight`` is the post-selection survival probability of their run."""
 

@@ -6,7 +6,10 @@ of the mixed state as an integer ``u`` in ``[0, 2**53)`` and selects the
 outcome ``k`` with the smallest exact cumulative threshold above ``u``.  The
 thresholds are ``ceil(c_k * 2**53)`` computed in integer arithmetic from the
 exact cumulative probabilities ``c_k``, so selection never touches floats
-and regression counts are bit-stable.
+and regression counts are bit-stable.  ``sample`` advances the generator
+state inline, through the same mixer as :class:`SplitMix64`, and counts hits
+per row index; the counts keyed by outcome pair are built once, after the
+last draw.
 
 ``chi_square_test`` compares observed counts against the exact expected
 counts.  The statistic is accumulated as a ``Fraction`` and only converted
@@ -18,25 +21,11 @@ table this package produces.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .engine import OutcomeTable
 from .state import PairKey
-
-__all__ = [
-    "SplitMix64",
-    "RunRecord",
-    "DegreesOfFreedomOutOfRange",
-    "DEFAULT_SEED",
-    "CRITICAL_95",
-    "CRITICAL_99",
-    "sample",
-    "chi_square_test",
-    "run",
-    "to_csv",
-]
 
 DEFAULT_SEED = 0x5EED
 
@@ -56,6 +45,16 @@ class DegreesOfFreedomOutOfRange(ValueError):
     """Raised when a table needs more degrees of freedom than the stored rows cover."""
 
 
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix(z: int) -> int:
+    """The SplitMix64 output mixer, applied to the advanced state."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
     """SplitMix64 with the reference constants; ``next_u53`` feeds sampling."""
 
@@ -65,18 +64,14 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self._state = (self._state + _GOLDEN) & _MASK64
+        return _mix(self._state)
 
     def next_u53(self) -> int:
         return self.next_u64() >> 11
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """One sampling run plus its goodness-of-fit summary."""
 
     seed: int
@@ -127,11 +122,13 @@ def sample(table: OutcomeTable, n: int, seed: int) -> dict[PairKey, int]:
     if not table.rows:
         raise ValueError("cannot sample from an empty table")
     keys, cuts = _thresholds(table)
-    counts = {key: 0 for key in keys}
-    rng = SplitMix64(seed)
+    # SplitMix64.next_u53 inlined: no method call and no key hashed per draw.
+    hits = [0] * len(keys)
+    state = seed & _MASK64
     for _ in range(n):
-        counts[keys[bisect_right(cuts, rng.next_u53())]] += 1
-    return counts
+        state = (state + _GOLDEN) & _MASK64
+        hits[bisect_right(cuts, _mix(state) >> 11)] += 1
+    return dict(zip(keys, hits))
 
 
 def chi_square_test(

@@ -10,45 +10,37 @@ state that a transform does not consume pass through unchanged.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Tuple
+from typing import Mapping, NamedTuple, Tuple
 
 from .amplitude import I, ONE, RadicalComplex, ZERO, inv_sqrt, quarter_phase, sqrt_rational
 from .state import Arm, ArmMismatch, ModeLabel, TwoPhotonState
 
-__all__ = [
-    "ModeTransform",
-    "beamsplitter",
-    "phase_shift",
-    "preset",
-    "apply_transform",
-    "PRESET_NAMES",
-    "PRESET_IO",
-]
-
 Column = Tuple[Tuple[ModeLabel, RadicalComplex], ...]
 
 
-@dataclass(frozen=True)
-class ModeTransform:
-    """An exact isometry acting on labelled modes of a single arm."""
-
+class _Transform(NamedTuple):
     arm: Arm
     columns: Mapping[ModeLabel, Column]
     in_place: bool = False
 
-    def __post_init__(self):
-        inputs = set(self.columns)
+
+class ModeTransform(_Transform):
+    """An exact isometry acting on labelled modes of a single arm."""
+
+    __slots__ = ()
+
+    def __new__(cls, arm: Arm, columns: Mapping[ModeLabel, Column], in_place: bool = False):
+        inputs = set(columns)
         outputs: set[ModeLabel] = set()
-        for src, pairs in self.columns.items():
-            if src.arm is not self.arm:
-                raise ArmMismatch(f"input {src} is not on arm {self.arm}")
+        for src, pairs in columns.items():
+            if src.arm is not arm:
+                raise ArmMismatch(f"input {src} is not on arm {arm}")
             seen: set[ModeLabel] = set()
             norm = ZERO
             for out, coef in pairs:
-                if out.arm is not self.arm:
-                    raise ArmMismatch(f"output {out} is not on arm {self.arm}")
+                if out.arm is not arm:
+                    raise ArmMismatch(f"output {out} is not on arm {arm}")
                 if out in seen:
                     raise ValueError(f"duplicate output {out} in column {src}")
                 if coef.is_zero:
@@ -58,20 +50,21 @@ class ModeTransform:
             if norm != ONE:
                 raise ValueError(f"column {src} is not unit-norm (got {norm})")
             outputs |= seen
-        for a, b in itertools.combinations(self.columns, 2):
-            col_b = dict(self.columns[b])
+        for a, b in itertools.combinations(columns, 2):
+            col_b = dict(columns[b])
             dot = ZERO
-            for out, ca in self.columns[a]:
+            for out, ca in columns[a]:
                 cb = col_b.get(out)
                 if cb is not None:
                     dot = dot + ca.conjugate() * cb
             if not dot.is_zero:
                 raise ValueError(f"columns {a} and {b} are not orthogonal (got {dot})")
-        if self.in_place:
+        if in_place:
             if inputs != outputs:
                 raise ValueError("an in-place element must map modes onto themselves")
         elif inputs & outputs:
             raise ValueError("input and output modes overlap; declare the element in-place")
+        return super().__new__(cls, arm, columns, in_place)
 
 
 def beamsplitter(t, in1: ModeLabel, in2: ModeLabel, out1: ModeLabel, out2: ModeLabel) -> ModeTransform:

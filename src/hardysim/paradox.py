@@ -32,34 +32,14 @@ marginals, and a witness cell shows when the quantum table does not.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import engine
 from .circuitdsl import Circuit
 # Unused here, but perfbench/spans.py wraps this attribute by name.
 from .optics import apply_transform  # noqa: F401
 from .state import Arm, ModeLabel, PairKey, TwoPhotonState
-
-__all__ = [
-    "RuleSet",
-    "TrajectoryGraph",
-    "ArmGraph",
-    "TrajectoryAssignment",
-    "Feasibility",
-    "OutcomeVerdict",
-    "ParadoxReport",
-    "ProductVerdict",
-    "VERDICT_CONSISTENT",
-    "VERDICT_FORBIDDEN_BUT_PREDICTED",
-    "VERDICT_ALLOWED_BUT_IMPOSSIBLE",
-    "build_graph",
-    "enumerate_assignments",
-    "feasible",
-    "paradox_report",
-    "product_test",
-]
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_FORBIDDEN_BUT_PREDICTED = "forbidden-but-predicted"
@@ -73,8 +53,7 @@ class RuleSet(enum.Enum):
     CONTEXTUAL = "contextual"
 
 
-@dataclass(frozen=True)
-class ArmGraph:
+class ArmGraph(NamedTuple):
     """Staged DAG of one arm: layer 0 holds the roots, one layer per stage after."""
 
     arm: Arm
@@ -90,16 +69,14 @@ class ArmGraph:
         return tuple(acc)
 
 
-@dataclass(frozen=True)
-class TrajectoryGraph:
+class TrajectoryGraph(NamedTuple):
     plus: ArmGraph
     minus: ArmGraph
     root_state: TwoPhotonState
     joint_roots: tuple[PairKey, ...]
 
 
-@dataclass(frozen=True)
-class TrajectoryAssignment:
+class TrajectoryAssignment(NamedTuple):
     """One full-wave path per arm, one label per stage boundary."""
 
     plus_path: tuple[ModeLabel, ...]
@@ -120,14 +97,12 @@ class TrajectoryAssignment:
         }
 
 
-@dataclass(frozen=True)
-class Feasibility:
+class Feasibility(NamedTuple):
     feasible: bool
     reasons: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class OutcomeVerdict:
+class OutcomeVerdict(NamedTuple):
     outcome: PairKey
     qm_probability: Fraction
     feasible: tuple[TrajectoryAssignment, ...]
@@ -148,8 +123,7 @@ class OutcomeVerdict:
         }
 
 
-@dataclass(frozen=True)
-class ParadoxReport:
+class ParadoxReport(NamedTuple):
     rules: RuleSet
     kept_weight: Fraction
     outcomes: tuple[OutcomeVerdict, ...]
@@ -171,8 +145,7 @@ class ParadoxReport:
         }
 
 
-@dataclass(frozen=True)
-class ProductVerdict:
+class ProductVerdict(NamedTuple):
     """Whether a joint table factorises into the product of its own marginals."""
 
     feasible: bool
@@ -194,8 +167,7 @@ class _Conditionals(dict):
         return found
 
 
-@dataclass(frozen=True)
-class _Context:
+class _Context(NamedTuple):
     graph: TrajectoryGraph
     kept_weight: Fraction
     given: _Conditionals

@@ -4,21 +4,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple
+from typing import Iterable, Mapping, NamedTuple, Tuple
 
 from .amplitude import RadicalComplex, ZERO, rational
-
-__all__ = [
-    "Arm",
-    "ArmMismatch",
-    "ModeLabel",
-    "PairKey",
-    "TwoPhotonState",
-    "plus",
-    "minus",
-]
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -37,16 +26,25 @@ class ArmMismatch(ValueError):
     """A pairing or optical element referenced the wrong interferometer arm."""
 
 
-@dataclass(frozen=True)
-class ModeLabel:
-    """A named optical path on one arm, rendered as e.g. ``u+`` or ``g-``."""
-
+class _Label(NamedTuple):
     name: str
     arm: Arm
 
-    def __post_init__(self):
-        if not _NAME_RE.match(self.name):
-            raise ValueError(f"bad mode name {self.name!r}")
+
+class ModeLabel(_Label):
+    """A named optical path on one arm, rendered as e.g. ``u+`` or ``g-``.
+
+    A tuple underneath, so equality and hashing are the tuple's own, with
+    no Python-level method of the label's: every amplitude added during an
+    evolution hashes a pair of labels.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, arm: Arm):
+        if not _NAME_RE.match(name):
+            raise ValueError(f"bad mode name {name!r}")
+        return super().__new__(cls, name, arm)
 
     def __str__(self) -> str:
         return f"{self.name}{self.arm.value}"

@@ -53,6 +53,16 @@ def test_generic_stages_parse():
     assert ph == PhaseStage(3, plus("c"))
 
 
+def test_records_are_immutable(hardy_full):
+    circuit = parse(VALID_HEAD + "stage bs 1/3 u+ v+ -> c+ d+\nstage phase 3 c+\n")
+    stages = circuit.stages + hardy_full.stages
+    records = [circuit, plus("u")] + [s for stage in stages for s in (stage, stage.transform())]
+    for record in records:
+        for attr in ("arm", "stages", "_transform", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, attr, None)
+
+
 def test_bare_modes_with_trailing_arm_marker():
     circuit = parse(VALID_HEAD + "stage bs 1/2 u v -> c d -\n")
     assert circuit.stages[0].in1 == minus("u")

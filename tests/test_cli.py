@@ -1,7 +1,13 @@
+import argparse
 import json
 
+import pytest
+
 from conftest import CIRCUITS
+from hardysim import cli
 from hardysim.cli import main
+from hardysim.montecarlo import DEFAULT_SEED
+from hardysim.paradox import RuleSet
 
 FULL = str(CIRCUITS / "hardy_full.circ")
 REDUCED = str(CIRCUITS / "hardy_reduced.circ")
@@ -212,6 +218,77 @@ def test_sample_json_round_trips(capsys):
     record = json.loads(out)
     assert record["seed"] == 16
     assert sum(row["count"] for row in record["counts"]) == 50
+
+
+# -------------------------------------------------------------- CLI surface
+
+def _option(command, dest):
+    subcommands = next(a for a in cli._build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in subcommands.choices[command]._actions if a.dest == dest)
+
+
+def test_parser_constants_match_the_modules_it_does_not_import():
+    rules = _option("paradox", "rules")
+    assert set(rules.choices) == {r.value for r in RuleSet}
+    assert rules.default == RuleSet.LOCAL_COUNTERFACTUAL.value
+    assert _option("sample", "seed").default == DEFAULT_SEED
+
+
+HELP = {
+    "--help": """\
+usage: hardysim [-h] command ...
+
+Exact two-photon interferometer simulator and trajectory checker.
+
+positional arguments:
+  command
+    check     parse and validate a circuit file
+    evolve    print the final post-selected state
+    probs     print exact outcome probabilities
+    paradox   judge each detector pair against a trajectory rule set
+    sample    draw outcomes with a seeded generator and run a chi-square check
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "paradox --help": """\
+usage: hardysim paradox [-h] [--format {table,json,csv}]
+                        [--rules {local,contextual}]
+                        circuit
+
+positional arguments:
+  circuit               path to a circuit file
+
+options:
+  -h, --help            show this help message and exit
+  --format {table,json,csv}
+                        output rendering (default: table)
+  --rules {local,contextual}
+                        feasibility rule set (default: local)
+""",
+    "sample --help": """\
+usage: hardysim sample [-h] [--format {table,json,csv}] [--n N] [--seed SEED]
+                       circuit
+
+positional arguments:
+  circuit               path to a circuit file
+
+options:
+  -h, --help            show this help message and exit
+  --format {table,json,csv}
+                        output rendering (default: table)
+  --n N                 number of draws
+  --seed SEED           64-bit generator seed (default: 24301)
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP))
+def test_help_text_is_pinned(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv.split()) == 0
+    assert capsys.readouterr() == (HELP[argv], "")
 
 
 # --------------------------------------------------------------- exit codes

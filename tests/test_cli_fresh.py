@@ -1,0 +1,83 @@
+"""The command line in fresh interpreters, where lazy imports actually happen.
+
+In-process tests run after pytest has imported every hardysim module, so
+they cannot see a subcommand that forgets to import what it runs.  Here each
+command starts its own ``python -m hardysim``, and must print the bytes
+recorded in ``perfbench/expected/cli_shipped.json`` (only read) or the same
+``error: …`` line and exit code as ``cli.main`` gives in-process.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from hardysim import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RECORDED = json.loads(
+    (ROOT / "perfbench" / "expected" / "cli_shipped.json").read_text(encoding="utf-8"))
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def fresh(*args, cwd=ROOT):
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=ENV,
+                          capture_output=True, text=True, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_importing_the_cli_loads_only_what_every_command_needs():
+    code, out, err = fresh("-c", "import sys; before = set(sys.modules); import hardysim.cli; "
+                                 "print(' '.join(sorted(set(sys.modules) - before)))")
+    assert (code, err) == (0, "")
+    loaded = set(out.split())
+    assert "hardysim.circuitdsl" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json", "hardysim.paradox",
+                         "hardysim.montecarlo"}
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED))
+def test_fresh_process_reproduces_recorded_bytes(command):
+    expected = RECORDED[command]
+    assert fresh("-m", "hardysim", *command.split()) == (
+        expected["code"], expected["stdout"], expected["stderr"])
+
+
+# A one-rung unbalanced ladder: 1/3 splitters turn each photon's a + ib into
+# outcomes with weights 1/2 -+ sqrt(2)/3.
+UNBALANCED_LADDER = """\
+modes + a b c d
+modes - a b c d
+source (a+,a-) (1/2); (a+,b-) (1/2)*i; (b+,a-) (1/2)*i; (b+,b-) (-1/2)
+stage bs 1/3 a+ b+ -> c+ d+
+stage bs 1/3 a- b- -> c- d-
+detect c+ d+ c- d-
+"""
+
+# Sixteen equally likely outcomes: fifteen degrees of freedom.
+SIXTEEN_OUTCOMES = "modes + a b c d\nmodes - a b c d\nsource " + "; ".join(
+    f"({p}+,{m}-) (1/4)" for p in "abcd" for m in "abcd") + "\n"
+
+NO_DETECTORS = "modes + a\nmodes - a\nsource (a+,a-) 1\n"
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (UNBALANCED_LADDER, ["probs"], "is not a plain rational"),
+    (UNBALANCED_LADDER, ["sample", "--n", "10"], "is not a plain rational"),
+    (UNBALANCED_LADDER, ["paradox"], "is not a plain rational"),
+    (UNBALANCED_LADDER, ["paradox", "--rules", "contextual", "--format", "json"],
+     "is not a plain rational"),
+    (SIXTEEN_OUTCOMES, ["sample", "--format", "json"], "15 degrees of freedom"),
+    (NO_DETECTORS, ["paradox"], "requires detectors on both arms"),
+])
+def test_fresh_process_error_paths_match_in_process(text, argv, message, tmp_path, capsys):
+    path = tmp_path / "circuit.circ"
+    path.write_text(text)
+    code = cli.main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert fresh("-m", "hardysim", *argv, str(path)) == (code, captured.out, captured.err)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,30 @@ def test_unnormalised_table_is_rescaled():
         {key: q * Fraction(1, 6) for key, q in HARDY_ROWS.items()}, Fraction(1, 6)
     )
     assert sample(kept, 200, seed=9) == sample(raw, 200, seed=9)
+
+
+SIXTEEN_ROWS = {
+    (f"p{i}", f"m{j}"): Fraction(4 * i + j + 1, 136) for i in range(4) for j in range(4)
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, DEFAULT_SEED, (1 << 64) - 1, 1 << 64, (5 << 64) + 77])
+def test_sample_matches_a_per_draw_generator_loop(seed):
+    # The plain form of the sampler: one next_u53 per draw, the first row
+    # whose exact threshold ceil(c_k * 2**53) lies above it, counts keyed by row.
+    table = table_of(SIXTEEN_ROWS)
+    rows = table.sorted_rows()
+    cuts, cumulative = [], Fraction(0)
+    for _, probability in rows:
+        cumulative += probability
+        cuts.append(math.ceil(cumulative * (1 << 53)))
+    rng = SplitMix64(seed)
+    expected = {key: 0 for key, _ in rows}
+    for _ in range(3000):
+        u = rng.next_u53()
+        expected[next(key for (key, _), cut in zip(rows, cuts) if u < cut)] += 1
+    counts = sample(table, 3000, seed)
+    assert list(counts.items()) == list(expected.items())
 
 
 def test_pinned_default_seed_regression():
