@@ -8,21 +8,25 @@ the post-selection boundary that :func:`hardysim.engine.boundary` computes,
 where the surviving part of the state fixes which labels can be occupied at
 all; the audit evolves on from that root state with :func:`engine.evolve`.
 
-Two rule sets decide which joint assignments of one path per arm are
-feasible:
+A route (a ``TrajectoryAssignment``) is one path per arm.  Routes are built
+only from the joint root pairs the post-selected state occupies, so every
+route starts on one.  Two rule sets decide which routes are feasible.  Both
+read only a route's root pair and exit pair, never the labels in between, so
+the report judges each (root pair, exit pair) class once and every route of
+the class shares its verdict and reasons:
 
-* ``LOCAL_COUNTERFACTUAL`` — the assignment must start on a jointly occupied
-  root pair, must end on a pair the fully evolved wave function supports,
-  and must respect every zero of the two single-sided wave functions
-  (evolve one arm only, condition on the other photon's root label; an exit
-  with conditional probability exactly zero is forbidden).
+* ``LOCAL_COUNTERFACTUAL`` — the route must end on a pair the fully evolved
+  wave function supports, and must respect every zero of the two
+  single-sided wave functions (evolve one arm only, condition on the other
+  photon's root label; an exit with conditional probability exactly zero is
+  forbidden).
 * ``CONTEXTUAL`` — only the fully evolved wave function constrains the final
   pair; the single-sided zeros are dismissed because they describe detector
   placements other than the actual one.
 
-``CONTEXTUAL`` keeps every assignment ``LOCAL_COUNTERFACTUAL`` keeps.  An
+``CONTEXTUAL`` keeps every route ``LOCAL_COUNTERFACTUAL`` keeps.  An
 outcome that quantum mechanics predicts with positive probability but that
-no feasible assignment reaches gets the verdict ``forbidden-but-predicted``:
+no feasible route reaches gets the verdict ``forbidden-but-predicted``:
 the trajectory contradiction.  ``product_test`` covers the complementary
 argument for circuits without post-selection: statistics produced by two
 photons answering independently would factorise into the product of the
@@ -72,7 +76,6 @@ class ArmGraph(NamedTuple):
 class TrajectoryGraph(NamedTuple):
     plus: ArmGraph
     minus: ArmGraph
-    root_state: TwoPhotonState
     joint_roots: tuple[PairKey, ...]
 
 
@@ -95,11 +98,6 @@ class TrajectoryAssignment(NamedTuple):
             "plus": [str(l) for l in self.plus_path],
             "minus": [str(l) for l in self.minus_path],
         }
-
-
-class Feasibility(NamedTuple):
-    feasible: bool
-    reasons: tuple[str, ...]
 
 
 class OutcomeVerdict(NamedTuple):
@@ -198,7 +196,6 @@ def _analyze(circuit: Circuit) -> _Context:
     graph = TrajectoryGraph(
         plus=_arm_graph(Arm.PLUS, root.plus_support(), plus_stages),
         minus=_arm_graph(Arm.MINUS, root.minus_support(), minus_stages),
-        root_state=root,
         joint_roots=root.keys(),
     )
     # The arms act on separate labels: the plus-only state, evolved on minus, is the full one.
@@ -232,27 +229,13 @@ def enumerate_assignments(graph: TrajectoryGraph) -> tuple[TrajectoryAssignment,
     return tuple(out)
 
 
-def _require_on_graph(graph: TrajectoryGraph, assignment: TrajectoryAssignment):
-    for arm_graph, path in ((graph.plus, assignment.plus_path), (graph.minus, assignment.minus_path)):
-        if len(path) != len(arm_graph.layers):
-            raise ValueError(
-                f"path {'/'.join(map(str, path))} does not span the {arm_graph.arm} arm boundaries"
-            )
-        if path[0] not in arm_graph.layers[0]:
-            raise ValueError(f"{path[0]} is not a root label")
-        for j, edge_map in enumerate(arm_graph.edges):
-            if path[j + 1] not in edge_map.get(path[j], ()):
-                raise ValueError(f"no track from {path[j]} to {path[j + 1]}")
-
-
-def _check(context: _Context, assignment: TrajectoryAssignment, rules: RuleSet) -> Feasibility:
-    _require_on_graph(context.graph, assignment)
-    p_root, m_root = assignment.root_pair
-    p_exit, m_exit = assignment.exit_pair
+def _judge(context: _Context, root_pair: PairKey, exit_pair: PairKey,
+           rules: RuleSet) -> tuple[str, ...]:
+    """Every rule the routes from ``root_pair`` to ``exit_pair`` break; empty if none."""
+    p_root, m_root = root_pair
+    p_exit, m_exit = exit_pair
     reasons = []
     if rules is RuleSet.LOCAL_COUNTERFACTUAL:
-        if context.graph.root_state.amplitude(p_root, m_root).is_zero:
-            reasons.append(f"joint start ({p_root},{m_root}) has amplitude 0 after post-selection")
         if context.given[m_root].get(p_exit, Fraction(0)) == 0:
             reasons.append(
                 f"with only the plus arm evolved: given {m_root}, "
@@ -267,12 +250,7 @@ def _check(context: _Context, assignment: TrajectoryAssignment, rules: RuleSet) 
         reasons.append(
             f"the fully evolved wave function gives ({p_exit},{m_exit}) amplitude 0"
         )
-    return Feasibility(not reasons, tuple(reasons))
-
-
-def feasible(assignment: TrajectoryAssignment, rules: RuleSet, circuit: Circuit) -> Feasibility:
-    """Check one joint assignment against a rule set; reasons list every violation."""
-    return _check(_analyze(circuit), assignment, rules)
+    return tuple(reasons)
 
 
 def paradox_report(circuit: Circuit, rules: RuleSet) -> ParadoxReport:
@@ -288,19 +266,22 @@ def paradox_report(circuit: Circuit, rules: RuleSet) -> ParadoxReport:
     if not plus_detectors or not minus_detectors:
         raise ValueError("paradox report requires detectors on both arms")
     table = engine.probabilities(context.full, context.kept_weight)
-    assignments = enumerate_assignments(context.graph)
+    by_exit: dict[PairKey, list[TrajectoryAssignment]] = {}
+    for assignment in enumerate_assignments(context.graph):
+        by_exit.setdefault(assignment.exit_pair, []).append(assignment)
     rows = []
     for p in plus_detectors:
         for m in minus_detectors:
             kept, rejected = [], []
-            for assignment in assignments:
-                if assignment.exit_pair != (p, m):
-                    continue
-                result = _check(context, assignment, rules)
-                if result.feasible:
-                    kept.append(assignment)
+            judged: dict[PairKey, tuple[str, ...]] = {}
+            for assignment in by_exit.get((p, m), ()):
+                root = assignment.root_pair
+                if root not in judged:
+                    judged[root] = _judge(context, root, (p, m), rules)
+                if judged[root]:
+                    rejected.append((assignment, judged[root]))
                 else:
-                    rejected.append((assignment, result.reasons))
+                    kept.append(assignment)
             qm_p = table.rows.get((p, m), Fraction(0))
             if qm_p > 0 and not kept:
                 verdict = VERDICT_FORBIDDEN_BUT_PREDICTED

@@ -11,7 +11,6 @@ from hardysim.paradox import (
     VERDICT_FORBIDDEN_BUT_PREDICTED,
     enumerate_assignments,
     build_graph,
-    feasible,
     paradox_report,
     product_test,
 )
@@ -64,45 +63,28 @@ def test_pass_through_labels_get_identity_edges(hardy_partial_plus):
 # -------------------------------------------------------------- feasibility
 
 def test_joint_detection_is_forbidden_under_counterfactual_rules(hardy_full):
-    result = feasible(assignment("v", "d", "v", "d"), RuleSet.LOCAL_COUNTERFACTUAL, hardy_full)
-    assert not result.feasible
-    assert any("conditional probability 0" in reason for reason in result.reasons)
+    report = paradox_report(hardy_full, RuleSet.LOCAL_COUNTERFACTUAL)
+    dd = report.by_outcome((plus("d"), minus("d")))
+    assert dd.feasible == ()
+    assert len(dd.rejected) == 3
+    for _, reasons in dd.rejected:
+        assert any("conditional probability 0" in reason for reason in reasons)
 
 
 def test_joint_detection_is_allowed_under_contextual_rules(hardy_full):
-    for p_root, m_root in (("v", "v"), ("v", "u"), ("u", "v")):
-        result = feasible(assignment(p_root, "d", m_root, "d"), RuleSet.CONTEXTUAL, hardy_full)
-        assert result.feasible, result.reasons
-
-
-def test_unoccupied_root_is_rejected(hardy_full):
-    result = feasible(assignment("u", "c", "u", "c"), RuleSet.LOCAL_COUNTERFACTUAL, hardy_full)
-    assert not result.feasible
-    assert any("amplitude 0 after post-selection" in r for r in result.reasons)
-
-
-def test_off_graph_assignment_raises(hardy_full):
-    with pytest.raises(ValueError):
-        feasible(
-            TrajectoryAssignment((plus("u"),), (minus("u"), minus("c"))),
-            RuleSet.CONTEXTUAL,
-            hardy_full,
-        )
-    with pytest.raises(ValueError):
-        feasible(
-            TrajectoryAssignment((plus("g"), plus("c")), (minus("u"), minus("c"))),
-            RuleSet.CONTEXTUAL,
-            hardy_full,
-        )
+    dd = paradox_report(hardy_full, RuleSet.CONTEXTUAL).by_outcome((plus("d"), minus("d")))
+    assert dd.rejected == ()
+    assert set(dd.feasible) == {assignment(p_root, "d", m_root, "d")
+                                for p_root, m_root in (("v", "v"), ("v", "u"), ("u", "v"))}
 
 
 def test_contextual_rules_keep_everything_local_rules_keep(hardy_full, hardy_reduced):
     for circuit in (hardy_full, hardy_reduced):
-        for a in enumerate_assignments(build_graph(circuit)):
-            local = feasible(a, RuleSet.LOCAL_COUNTERFACTUAL, circuit)
-            contextual = feasible(a, RuleSet.CONTEXTUAL, circuit)
-            if local.feasible:
-                assert contextual.feasible
+        local = paradox_report(circuit, RuleSet.LOCAL_COUNTERFACTUAL)
+        contextual = paradox_report(circuit, RuleSet.CONTEXTUAL)
+        assert [r.outcome for r in local.outcomes] == [r.outcome for r in contextual.outcomes]
+        for local_row, contextual_row in zip(local.outcomes, contextual.outcomes):
+            assert set(local_row.feasible) <= set(contextual_row.feasible)
 
 
 # ------------------------------------------------------------------- reports

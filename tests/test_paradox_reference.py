@@ -1,8 +1,9 @@
 """``paradox_report`` against the audit as first written (``paradox_reference``).
 
-Both run on the shipped circuits and on seeded random circuits with
-post-selection and detectors appended; the reports must be identical, or
-both must raise the same exception class.  The same loop checks two
+Both run on the shipped circuits, on seeded random circuits with
+post-selection and detectors appended, and on post-selected ladders from
+``perfbench/ladder.py`` two and three splitter layers deep; the reports must
+be identical, or both must raise the same exception class.  The same loop checks two
 properties of every report: contextual rules keep every assignment local
 rules keep, and the kept weight lies in (0, source weight].  The bound is the
 source's squared norm rather than 1 because random sources are not
@@ -11,7 +12,10 @@ also checks that ``engine.run``, which post-selects at the boundary, gives
 the table of post-selecting after the last stage.
 """
 
+import importlib.util
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -24,9 +28,17 @@ from hardysim.circuitdsl import parse
 from hardysim.paradox import RuleSet, paradox_report
 from hardysim.state import Arm
 
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_ladder", pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "ladder.py")
+ladder = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ladder)  # a dataclass module must be in sys.modules
+
 SHIPPED = ("hardy_full.circ", "hardy_reduced.circ",
            "hardy_partial_plus.circ", "hardy_partial_minus.circ")
 RANDOM_SEEDS = range(80)
+# (width, depth, balanced, seed) of post-selected ladders with 32 to 256
+# routes; each rule set rejects some routes of at least one of them.
+LADDERS = ((2, 2, False, 2), (4, 2, True, 2), (2, 3, False, 1), (4, 3, True, 3))
 
 
 def _exits(text: str, rng: random.Random) -> str:
@@ -90,6 +102,12 @@ def _compare(circuit, label):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_matches_reference_on_shipped_circuits(name):
     assert len(_compare(load_circuit(name), name)) == 2
+
+
+@pytest.mark.parametrize("width, depth, balanced, seed", LADDERS)
+def test_matches_reference_on_ladders(width, depth, balanced, seed):
+    shape = ladder.generate(width, depth, True, balanced, seed)
+    assert len(_compare(parse(shape.text()), shape.name)) == 2
 
 
 def test_matches_reference_on_random_circuits():

@@ -3,8 +3,10 @@
 A stage builds its transform at most once and keeps it; the audit folds
 each stage into the state once per evolution it needs, never re-runs the
 whole pipeline through ``engine.run``, and computes each single-sided
-conditional at most once per root label.  ``engine.run`` post-selects once,
-at the boundary, so no stage after it carries a discarded term.
+conditional at most once per root label.  A route's verdict reads only its
+root pair and exit pair, so the report judges each such class once, not
+each route.  ``engine.run`` post-selects once, at the boundary, so no stage
+after it carries a discarded term.
 """
 
 from collections import Counter
@@ -12,7 +14,8 @@ from collections import Counter
 from conftest import CIRCUITS
 from hardysim import engine, optics
 from hardysim.circuitdsl import parse
-from hardysim.paradox import RuleSet, build_graph, paradox_report
+from hardysim.paradox import RuleSet, build_graph, enumerate_assignments, paradox_report
+from hardysim.state import TwoPhotonState
 
 # A post-selected ladder, two modes per arm: 1/3 splitters merge s0,s1 and
 # s2,s3 into the kept r0, r1 and the discarded x0, x1, then two layers of
@@ -74,6 +77,26 @@ def test_each_stage_transform_is_built_once_and_the_audit_never_reruns(monkeypat
         assert built == Counter(kinds)
         assert sum(built.values()) == len(circuit.stages)
     assert runs["run"] == 0
+
+
+def test_the_report_judges_each_root_and_exit_class_once(monkeypatch):
+    # Judging a class reads the fully evolved amplitude of its exit pair, and
+    # nothing else in the audit reads a single amplitude.
+    reads = Counter()
+    _count_calls(monkeypatch, TwoPhotonState, "amplitude", reads)
+    full_text = (CIRCUITS / "hardy_full.circ").read_text(encoding="utf-8")
+    for text in (full_text, LADDER):
+        circuit = parse(text)
+        routes = enumerate_assignments(build_graph(circuit))
+        classes = {(a.root_pair, a.exit_pair) for a in routes}
+        for rules in RuleSet:
+            reads.clear()
+            report = paradox_report(circuit, rules)
+            judged = sum(len(row.feasible) + len(row.rejected) for row in report.outcomes)
+            assert judged == len(routes)
+            assert 0 < reads["amplitude"] <= len(classes), (rules, len(routes))
+    # LADDER has more routes than classes: judging per route reads too often.
+    assert len(routes) == 32 > len(classes)
 
 
 def test_run_postselects_once_and_carries_no_discarded_term_past_the_boundary(monkeypatch):
