@@ -6,22 +6,33 @@ of the mixed state as an integer ``u`` in ``[0, 2**53)`` and selects the
 outcome ``k`` with the smallest exact cumulative threshold above ``u``.  The
 thresholds are ``ceil(c_k * 2**53)`` computed in integer arithmetic from the
 exact cumulative probabilities ``c_k``, so selection never touches floats
-and regression counts are bit-stable.  ``sample`` advances the generator
-state inline, through the same mixer as :class:`SplitMix64`, and counts hits
-per row index; the counts keyed by outcome pair are built once, after the
-last draw.
+and regression counts are bit-stable.
+
+``sample`` generates the draws in blocks of up to ``_BLOCK``.  A block is
+one Python integer with one draw per 128-bit lane: lane ``i`` holds the
+64-bit generator state of draw ``i`` in its low half, and the mixer runs on
+every lane at once as big-integer shift, xor and multiply steps, masked so
+that no bit crosses from one lane's draw into another's.  The draws are
+read out of the integer's bytes and each is mapped to its row by
+``bisect_right`` over the thresholds, so no Python bytecode runs per draw.
+:class:`SplitMix64` is the plain per-draw generator the block kernel must
+agree with.
 
 ``chi_square_test`` compares observed counts against the exact expected
 counts.  The statistic is accumulated as a ``Fraction`` and only converted
 to float at the end; it is judged against stored critical values for 1 to 8
-degrees of freedom at the 95% and 99% levels, which covers every outcome
-table this package produces.
+degrees of freedom at the 95% and 99% levels.  A table of more than nine
+rows, such as the 12 to 16 rows of a width-4 ladder, raises
+:class:`DegreesOfFreedomOutOfRange`.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from typing import Mapping, NamedTuple
 
 from .engine import OutcomeTable
@@ -46,17 +57,22 @@ class DegreesOfFreedomOutOfRange(ValueError):
 
 
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
+# Draws per block of ``sample``: 16 KiB per packed integer, so the working
+# memory is fixed however many draws are asked for.  2048 ran no faster and
+# doubled the peak.
+_BLOCK = 1024
 
-def _mix(z: int) -> int:
-    """The SplitMix64 output mixer, applied to the advanced state."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+# Position of a lane's low 64-bit word among the two native-order words the
+# lane fills in ``int.to_bytes(..., sys.byteorder)``.
+_LOW_WORD = 1 if sys.byteorder == "big" else 0
 
 
 class SplitMix64:
-    """SplitMix64 with the reference constants; ``next_u53`` feeds sampling."""
+    """SplitMix64 with the reference constants: the per-draw reference that
+    ``sample``'s block generator reproduces."""
 
     __slots__ = ("_state",)
 
@@ -64,8 +80,10 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix(self._state)
+        self._state = z = (self._state + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return z ^ (z >> 31)
 
     def next_u53(self) -> int:
         return self.next_u64() >> 11
@@ -115,20 +133,50 @@ def _thresholds(table: OutcomeTable) -> tuple[list[PairKey], list[int]]:
     return keys, cuts
 
 
+def _lanes(b: int) -> tuple[int, int]:
+    """``(ones, index)`` packed in ``b`` 128-bit lanes: 1 in every lane, and
+    ``i`` in lane ``i``."""
+    ones, index, width = 1, 0, 1
+    while width < b:
+        index |= (index + width * ones) << (128 * width)
+        ones |= ones << (128 * width)
+        width *= 2
+    keep = (1 << (128 * b)) - 1
+    return ones & keep, index & keep
+
+
 def sample(table: OutcomeTable, n: int, seed: int) -> dict[PairKey, int]:
-    """Draw ``n`` outcomes; returns counts for every row, including zeros."""
+    """Draw ``n`` outcomes; returns counts for every row, including zeros.
+
+    The counts are those of ``n`` calls of ``SplitMix64(seed).next_u53()``,
+    each counted on the first row whose threshold lies above it.
+    """
     if n < 0:
         raise ValueError("sample size must be nonnegative")
     if not table.rows:
         raise ValueError("cannot sample from an empty table")
     keys, cuts = _thresholds(table)
-    # SplitMix64.next_u53 inlined: no method call and no key hashed per draw.
-    hits = [0] * len(keys)
-    state = seed & _MASK64
-    for _ in range(n):
-        state = (state + _GOLDEN) & _MASK64
-        hits[bisect_right(cuts, _mix(state) >> 11)] += 1
-    return dict(zip(keys, hits))
+    b = min(n, _BLOCK)
+    ones, index = _lanes(b)
+    mask = ones * _MASK64
+    # Lane i holds the state after i + 1 steps; each block moves every lane b steps.
+    lanes = ((index + ones) * _GOLDEN + ones * (seed & _MASK64)) & mask
+    step = ones * ((b * _GOLDEN) & _MASK64)
+    del ones, index
+    hits: Counter[int] = Counter()
+    for start in range(0, n, _BLOCK):
+        k = min(b, n - start)
+        z = lanes if k == b else lanes & ((1 << (128 * k)) - 1)
+        # ``>>`` pulls the next lane's low bits into the top of this lane's
+        # high half.  The mask clears them before a multiply could carry them
+        # into the low half; after the last xor, ``>> 11`` leaves them above it.
+        z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
+        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+        z = (z ^ (z >> 31)) >> 11
+        draws = memoryview(z.to_bytes(16 * k, sys.byteorder)).cast("Q")[_LOW_WORD::2]
+        hits.update(map(bisect_right, repeat(cuts, k), draws))
+        lanes = (lanes + step) & mask
+    return {key: hits[row] for row, key in enumerate(keys)}
 
 
 def chi_square_test(

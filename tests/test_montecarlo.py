@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardysim import engine, montecarlo
 from hardysim.montecarlo import (
@@ -111,25 +113,98 @@ def test_unnormalised_table_is_rescaled():
 SIXTEEN_ROWS = {
     (f"p{i}", f"m{j}"): Fraction(4 * i + j + 1, 136) for i in range(4) for j in range(4)
 }
+SIXTY_FOUR_ROWS = {(f"p{i:02}", "m"): Fraction(i + 1, 2080) for i in range(64)}
+# 2**53 / 3 is not an integer and adding 2**-60 * 2**53 does not cross the
+# next integer, so the "b" row gets the same threshold as the "a" row.
+TINY_ROW = {
+    ("a", "m"): Fraction(1, 3),
+    ("b", "m"): Fraction(1, 2**60),
+    ("c", "m"): Fraction(2, 3) - Fraction(1, 2**60),
+}
+ONE_ROW = {("c", "c"): Fraction(1)}
+B = montecarlo._BLOCK
 
 
-@pytest.mark.parametrize("seed", [0, 1, DEFAULT_SEED, (1 << 64) - 1, 1 << 64, (5 << 64) + 77])
-def test_sample_matches_a_per_draw_generator_loop(seed):
+def per_draw_counts(table, n, seed):
     # The plain form of the sampler: one next_u53 per draw, the first row
     # whose exact threshold ceil(c_k * 2**53) lies above it, counts keyed by row.
-    table = table_of(SIXTEEN_ROWS)
     rows = table.sorted_rows()
+    total = table.total()
     cuts, cumulative = [], Fraction(0)
     for _, probability in rows:
-        cumulative += probability
+        cumulative += probability / total
         cuts.append(math.ceil(cumulative * (1 << 53)))
     rng = SplitMix64(seed)
     expected = {key: 0 for key, _ in rows}
-    for _ in range(3000):
+    for _ in range(n):
         u = rng.next_u53()
         expected[next(key for (key, _), cut in zip(rows, cuts) if u < cut)] += 1
-    counts = sample(table, 3000, seed)
-    assert list(counts.items()) == list(expected.items())
+    return expected, cuts
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [SIXTEEN_ROWS, ONE_ROW, SIXTY_FOUR_ROWS, TINY_ROW],
+    ids=["16-row", "1-row", "64-row", "tiny-row"],
+)
+@pytest.mark.parametrize("seed", [0, 1, DEFAULT_SEED, (1 << 64) - 1, 1 << 64, (5 << 64) + 77])
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 17])
+def test_sample_matches_a_per_draw_generator_loop(rows, seed, n):
+    table = table_of(rows)
+    expected, cuts = per_draw_counts(table, n, seed)
+    if rows is TINY_ROW:
+        assert cuts[0] == cuts[1]
+    assert list(sample(table, n, seed).items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1, (3 << 64) + 11])
+@pytest.mark.parametrize("draw", [0, B - 1, B, 2 * B + 16])
+def test_a_threshold_beside_a_draw_splits_it_exactly(seed, draw):
+    # Typical thresholds leave a draw's low bits unread: the mixer's last
+    # ``z ^ (z >> 31)`` changes only the low 22 bits of u, and without it no
+    # count in the tests above changes.  Thresholds at u and u + 1 for the
+    # draw's exact value u move the draw to another row if any bit is wrong.
+    rng = SplitMix64(seed)
+    for _ in range(draw):
+        rng.next_u53()
+    u = rng.next_u53()
+    for cut, row in ((u, "b"), (u + 1, "a")):
+        first = Fraction(cut, 1 << 53)
+        table = table_of({("a", "m"): first, ("b", "m"): 1 - first})
+        before, after = sample(table, draw, seed), sample(table, draw + 1, seed)
+        assert [key[0].name for key in after if after[key] > before[key]] == [row]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 1000), min_size=1, max_size=40),
+    seed=st.integers(0, 1 << 70),
+    n=st.integers(0, 3 * B),
+)
+def test_sample_matches_the_per_draw_loop_on_random_tables(weights, seed, n):
+    table = table_of(
+        {(f"p{i:02}", "m"): Fraction(w, sum(weights)) for i, w in enumerate(weights)}
+    )
+    expected, _ = per_draw_counts(table, n, seed)
+    assert list(sample(table, n, seed).items()) == list(expected.items())
+
+
+def test_sample_memory_does_not_grow_with_n():
+    # A sampler that packed all n draws at once would need 16 MB here.
+    table = table_of(SIXTEEN_ROWS)
+    sample(table, 10, seed=1)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            sample(table, n, seed=DEFAULT_SEED)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10**5), peak(10**6)
+    assert large <= small
+    assert large < 256 * 1024
 
 
 def test_pinned_default_seed_regression():
