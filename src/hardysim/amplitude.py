@@ -11,6 +11,9 @@ The textual grammar used by circuit files, the CLI and golden files writes
 rationals as `(<num>/<den>)`, radicals as `sqrt(<k>)`, the imaginary unit
 as `i`, combined with `*`, `/`, `+` and `-`.  For example
 `(-3/1)*sqrt(1)/sqrt(12)` parses and renders back as `(-1/2)*sqrt(3)`.
+:func:`parse_amplitude` reads the tokens in one pass, a product loop inside a
+sum loop, and every factor goes through one helper that multiplies or
+divides; a syntax error carries its 0-based offset into the text.
 """
 
 from __future__ import annotations
@@ -288,8 +291,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_RAT_INNER = re.compile(r"\(\s*([+-]?\d+)\s*/\s*(\d+)\s*\)")
-_SQRT_INNER = re.compile(r"sqrt\(\s*(\d+)(?:\s*/\s*(\d+))?\s*\)")
+_NUMBER_RE = re.compile(r"[+-]?\d+")
 
 
 def _tokenize(text: str):
@@ -304,102 +306,66 @@ def _tokenize(text: str):
     return tokens
 
 
-class _AmpParser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.end = len(text)
-        self.i = 0
-
-    def _peek_op(self):
-        if self.i < len(self.tokens) and self.tokens[self.i][0] == "op":
-            return self.tokens[self.i][1]
-        return None
-
-    def parse(self) -> RadicalComplex:
-        value = self._expr()
-        if self.i < len(self.tokens):
-            _, text, pos = self.tokens[self.i]
-            raise AmplitudeParseError(f"unexpected {text!r}", pos)
-        return value
-
-    def _expr(self) -> RadicalComplex:
-        negate = False
-        if self._peek_op() in ("+", "-"):
-            negate = self.tokens[self.i][1] == "-"
-            self.i += 1
-        value = self._term()
-        if negate:
-            value = -value
-        while self._peek_op() in ("+", "-"):
-            op = self.tokens[self.i][1]
-            self.i += 1
-            term = self._term()
-            value = value + term if op == "+" else value - term
-        return value
-
-    def _term(self) -> RadicalComplex:
-        value = self._factor_value()
-        while self._peek_op() in ("*", "/"):
-            op = self.tokens[self.i][1]
-            self.i += 1
-            kind, payload, pos = self._factor_raw()
-            if op == "*":
-                value = value * self._to_value(kind, payload, pos)
-            elif kind == "num":
-                if payload == 0:
-                    raise AmplitudeParseError("division by zero", pos)
-                value = value / payload
-            elif kind == "sqrt":
-                try:
-                    value = value.div_sqrt(payload)
-                except UnsupportedRadical as exc:
-                    raise AmplitudeParseError(str(exc), pos) from exc
-            else:
-                raise AmplitudeParseError("cannot divide by i; multiply by -i instead", pos)
-        return value
-
-    def _factor_value(self) -> RadicalComplex:
-        kind, payload, pos = self._factor_raw()
-        return self._to_value(kind, payload, pos)
-
-    @staticmethod
-    def _to_value(kind, payload, pos) -> RadicalComplex:
-        if kind == "num":
-            return rational(payload)
+def _factor(value: RadicalComplex | None, op: str, token) -> RadicalComplex:
+    """``value`` multiplied (``op`` ``*``) or divided (``op`` ``/``) by the factor
+    ``token``; the factor itself when ``value`` is None (the first one of a term)."""
+    kind, text, pos = token
+    if kind == "end":
+        raise AmplitudeParseError("expected a factor", pos)
+    if kind == "op":
+        raise AmplitudeParseError(f"expected a factor, found {text!r}", pos)
+    if kind == "imag":
+        if op == "/":
+            raise AmplitudeParseError("cannot divide by i; multiply by -i instead", pos)
+        factor = I
+    else:
+        numbers = _NUMBER_RE.findall(text) + ["1"]  # an integer or sqrt(n) has denominator 1
+        num, den = int(numbers[0]), int(numbers[1])
+        if den == 0:
+            raise AmplitudeParseError("zero denominator under sqrt" if kind == "sqrt"
+                                      else "zero denominator", pos)
+        q = Fraction(num, den)
         if kind == "sqrt":
             try:
-                return sqrt_rational(payload)
+                if op == "/":
+                    return value.div_sqrt(q)
+                factor = sqrt_rational(q)
             except UnsupportedRadical as exc:
                 raise AmplitudeParseError(str(exc), pos) from exc
-        return I
-
-    def _factor_raw(self):
-        if self.i >= len(self.tokens):
-            raise AmplitudeParseError("expected a factor", self.end)
-        kind, text, pos = self.tokens[self.i]
-        self.i += 1
-        if kind == "rat":
-            m = _RAT_INNER.fullmatch(text)
-            num, den = int(m.group(1)), int(m.group(2))
-            if den == 0:
-                raise AmplitudeParseError("zero denominator", pos)
-            return "num", Fraction(num, den), pos
-        if kind == "int":
-            return "num", Fraction(int(text)), pos
-        if kind == "sqrt":
-            m = _SQRT_INNER.fullmatch(text)
-            num, den = int(m.group(1)), int(m.group(2) or 1)
-            if den == 0:
-                raise AmplitudeParseError("zero denominator under sqrt", pos)
-            return "sqrt", Fraction(num, den), pos
-        if kind == "imag":
-            return "i", None, pos
-        raise AmplitudeParseError(f"expected a factor, found {text!r}", pos)
+        elif op == "/":
+            if not q:
+                raise AmplitudeParseError("division by zero", pos)
+            return value / q
+        else:
+            factor = rational(q)
+    return factor if value is None else value * factor
 
 
 def parse_amplitude(text: str) -> RadicalComplex:
-    """Parse the amplitude grammar; raises AmplitudeParseError with a 0-based offset."""
-    return _AmpParser(text).parse()
+    """Parse the amplitude grammar; raises AmplitudeParseError with a 0-based offset.
+
+    One pass over the tokens: an optional leading sign, then terms joined by
+    ``+`` or ``-``, each a product of factors joined by ``*`` or ``/``.
+    """
+    tokens = _tokenize(text) + [("end", "", len(text))]
+    total, sign, i = None, "+", 0
+    if tokens[0][0] == "op" and tokens[0][1] in "+-":
+        sign, i = tokens[0][1], 1
+    while True:
+        term = _factor(None, "*", tokens[i])
+        i += 1
+        while tokens[i][0] == "op" and tokens[i][1] in "*/":
+            term = _factor(term, tokens[i][1], tokens[i + 1])
+            i += 2
+        if sign == "-":
+            term = -term
+        total = term if total is None else total + term
+        kind, found, pos = tokens[i]
+        if kind == "end":
+            return total
+        if kind != "op":
+            raise AmplitudeParseError(f"unexpected {found!r}", pos)
+        sign, i = found, i + 1
 
 
 ZERO = RadicalComplex()

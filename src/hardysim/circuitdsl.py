@@ -123,10 +123,10 @@ class _Preset(NamedTuple):
 
 class PresetStage(_Preset, _StageTransform):
     def inputs(self) -> tuple[ModeLabel, ...]:
-        return tuple(ModeLabel(n, self.arm) for n in optics.PRESET_IO[self.name][0])
+        return tuple(ModeLabel(n, self.arm) for n in optics.preset_modes(self.name)[0])
 
     def outputs(self) -> tuple[ModeLabel, ...]:
-        return tuple(ModeLabel(n, self.arm) for n in optics.PRESET_IO[self.name][1])
+        return tuple(ModeLabel(n, self.arm) for n in optics.preset_modes(self.name)[1])
 
     def _build(self) -> optics.ModeTransform:
         return optics.preset(self.name, self.arm)
@@ -165,6 +165,12 @@ _FRACTION_RE = re.compile(r"([+-]?\d+)/(\d+)\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 
 _SECTION_RANK = {"modes": 0, "source": 1, "stage": 2, "discard": 3, "detect": 4}
+
+
+def _end(tokens) -> int:
+    """The 1-based column just past a line's last token."""
+    text, col = tokens[-1]
+    return col + len(text)
 
 
 class _Parser:
@@ -222,12 +228,8 @@ class _Parser:
 
     def _parse_modes(self, tokens, lineno: int):
         if len(tokens) < 3:
-            self._err(lineno, tokens[-1][1] + len(tokens[-1][0]), "syntax",
-                      "expected: modes <+|-> <name>...")
-        arm_tok, arm_col = tokens[1]
-        if arm_tok not in ("+", "-"):
-            self._err(lineno, arm_col, "syntax", f"expected + or -, got {arm_tok!r}")
-        arm = Arm(arm_tok)
+            self._err(lineno, _end(tokens), "syntax", "expected: modes <+|-> <name>...")
+        arm = self._arm(tokens[1], lineno)
         for name, col in tokens[2:]:
             if not _BARE_RE.match(name):
                 self._err(lineno, col, "syntax", f"bad mode name {name!r}")
@@ -235,9 +237,25 @@ class _Parser:
                 self._err(lineno, col, "duplicate-mode", f"{name}{arm} declared twice")
             self.declared[arm].append(name)
 
+    def _arm(self, token, lineno: int) -> Arm:
+        arm_tok, arm_col = token
+        if arm_tok not in ("+", "-"):
+            self._err(lineno, arm_col, "syntax", f"expected + or -, got {arm_tok!r}")
+        return Arm(arm_tok)
+
     def _check_declared(self, label: ModeLabel, lineno: int, col: int):
         if label.name not in self.declared[label.arm]:
             self._err(lineno, col, "undeclared-mode", str(label))
+
+    def _armed(self, token, lineno: int, example: str) -> tuple[ModeLabel, int]:
+        """The declared label an armed mode token like ``g+`` names, and its column."""
+        tok, col = token
+        armed = _ARMED_RE.match(tok)
+        if armed is None:
+            self._err(lineno, col, "syntax", f"expected an armed mode like {example}, got {tok!r}")
+        label = ModeLabel(armed.group(1), Arm(armed.group(2)))
+        self._check_declared(label, lineno, col)
+        return label, col
 
     # -- source -------------------------------------------------------------
 
@@ -285,20 +303,19 @@ class _Parser:
 
     def _parse_stage(self, tokens, lineno: int):
         if len(tokens) < 2:
-            self._err(lineno, tokens[0][1] + len(tokens[0][0]), "syntax",
-                      "expected an element kind after 'stage'")
+            self._err(lineno, _end(tokens), "syntax", "expected an element kind after 'stage'")
         kind, kind_col = tokens[1]
         if kind == "bs":
             self._parse_bs(tokens, lineno)
         elif kind == "phase":
             self._parse_phase(tokens, lineno)
-        elif kind in optics.PRESET_NAMES:
+        elif kind in optics.PRESETS:
             self._parse_preset(tokens, lineno)
         elif kind.startswith("preset"):
             self._err(lineno, kind_col, "unknown-preset", kind)
         else:
             self._err(lineno, kind_col, "syntax",
-                      f"expected bs, phase or one of {'/'.join(optics.PRESET_NAMES)}, got {kind!r}")
+                      f"expected bs, phase or one of {'/'.join(optics.PRESETS)}, got {kind!r}")
 
     def _resolve_mode(self, token: str, col: int, lineno: int, arm_hint: Arm | None) -> ModeLabel:
         armed = _ARMED_RE.match(token)
@@ -320,11 +337,15 @@ class _Parser:
         self._check_declared(label, lineno, col)
         return label
 
-    def _consume(self, label: ModeLabel, lineno: int, col: int):
+    def _check_live(self, label: ModeLabel, lineno: int, col: int):
+        """A stage may only act on a label that is produced and not yet consumed."""
         if label in self.consumed:
             self._err(lineno, col, "double-consume", str(label))
         if label not in self.produced:
             self._err(lineno, col, "dead-mode", f"{label} has not been produced yet")
+
+    def _consume(self, label: ModeLabel, lineno: int, col: int):
+        self._check_live(label, lineno, col)
         self.consumed.add(label)
 
     def _produce(self, label: ModeLabel, lineno: int, col: int):
@@ -333,7 +354,7 @@ class _Parser:
         self.produced.add(label)
 
     def _parse_bs(self, tokens, lineno: int):
-        line_end = tokens[-1][1] + len(tokens[-1][0])
+        line_end = _end(tokens)
         if len(tokens) < 3:
             self._err(lineno, line_end, "syntax", "expected: stage bs <t> <in> <in> -> <out> <out>")
         t_tok, t_col = tokens[2]
@@ -380,57 +401,38 @@ class _Parser:
         self.stages.append(stage)
 
     def _parse_phase(self, tokens, lineno: int):
-        line_end = tokens[-1][1] + len(tokens[-1][0])
         if len(tokens) != 4:
-            self._err(lineno, line_end, "syntax", "expected: stage phase <k> <mode>")
+            self._err(lineno, _end(tokens), "syntax", "expected: stage phase <k> <mode>")
         k_tok, k_col = tokens[2]
         if not _INT_RE.match(k_tok):
             self._err(lineno, k_col, "syntax", f"expected an integer quarter-turn count, got {k_tok!r}")
-        mode_tok, mode_col = tokens[3]
-        armed = _ARMED_RE.match(mode_tok)
-        if armed is None:
-            self._err(lineno, mode_col, "syntax", f"expected an armed mode like g+, got {mode_tok!r}")
-        label = ModeLabel(armed.group(1), Arm(armed.group(2)))
-        self._check_declared(label, lineno, mode_col)
-        if label in self.consumed:
-            self._err(lineno, mode_col, "double-consume", str(label))
-        if label not in self.produced:
-            self._err(lineno, mode_col, "dead-mode", f"{label} has not been produced yet")
+        label, col = self._armed(tokens[3], lineno, "g+")
+        self._check_live(label, lineno, col)  # in place: neither consumed nor produced
         self.stages.append(PhaseStage(int(k_tok) % 4, label))
 
     def _parse_preset(self, tokens, lineno: int):
         name, name_col = tokens[1]
-        line_end = tokens[-1][1] + len(tokens[-1][0])
         if len(tokens) != 3:
-            self._err(lineno, line_end, "syntax", f"expected: stage {name} <+|->")
-        arm_tok, arm_col = tokens[2]
-        if arm_tok not in ("+", "-"):
-            self._err(lineno, arm_col, "syntax", f"expected + or -, got {arm_tok!r}")
-        arm = Arm(arm_tok)
-        in_names, out_names = optics.PRESET_IO[name]
-        for group in (in_names, out_names):
-            for n in group:
-                if n not in self.declared[arm]:
-                    self._err(lineno, name_col, "undeclared-mode", f"{n}{arm}")
-        for n in in_names:
-            self._consume(ModeLabel(n, arm), lineno, name_col)
-        for n in out_names:
-            self._produce(ModeLabel(n, arm), lineno, name_col)
-        self.stages.append(PresetStage(name, arm))
+            self._err(lineno, _end(tokens), "syntax", f"expected: stage {name} <+|->")
+        stage = PresetStage(name, self._arm(tokens[2], lineno))
+        inputs, outputs = stage.inputs(), stage.outputs()
+        for label in inputs + outputs:
+            self._check_declared(label, lineno, name_col)
+        for label in inputs:
+            self._consume(label, lineno, name_col)
+        for label in outputs:
+            self._produce(label, lineno, name_col)
+        self.stages.append(stage)
 
     # -- exit sets ----------------------------------------------------------
 
     def _parse_exit_set(self, keyword: str, tokens, lineno: int):
         if len(tokens) < 2:
-            self._err(lineno, tokens[0][1] + len(tokens[0][0]), "syntax",
+            self._err(lineno, _end(tokens), "syntax",
                       f"expected at least one mode after {keyword!r}")
         bucket = self.discard if keyword == "discard" else self.detectors
-        for tok, col in tokens[1:]:
-            armed = _ARMED_RE.match(tok)
-            if armed is None:
-                self._err(lineno, col, "syntax", f"expected an armed mode like c+, got {tok!r}")
-            label = ModeLabel(armed.group(1), Arm(armed.group(2)))
-            self._check_declared(label, lineno, col)
+        for token in tokens[1:]:
+            label, col = self._armed(token, lineno, "c+")
             if label in self.consumed:
                 self._err(lineno, col, "dead-mode", f"{label} is consumed by a stage, not an exit")
             if label in bucket:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .amplitude import inv_sqrt
+from .amplitude import NotRational, RadicalComplex, inv_sqrt
 from .circuitdsl import Circuit, Stage
 from .optics import apply_transform
 from .state import Arm, ModeLabel, PairKey, TwoPhotonState
@@ -91,11 +91,20 @@ def renormalize(state: TwoPhotonState) -> TwoPhotonState:
     return state.scale(inv_sqrt(norm))
 
 
+def _born_weight(key: PairKey, weight: RadicalComplex) -> Fraction:
+    """``weight`` as a plain rational, or NotRational naming the pair it belongs to."""
+    try:
+        return weight.as_rational()
+    except NotRational:
+        raise NotRational(f"({key[0]},{key[1]}) has Born weight {weight}, "
+                          "which is not a plain rational") from None
+
+
 def probabilities(state: TwoPhotonState, kept_weight: Fraction | None = None) -> OutcomeTable:
     """One row per term: its exact Born weight |amplitude|^2 over the state's own
     squared norm, so rows sum to 1; ``kept_weight`` defaults to that norm."""
     norm = state.norm_sq().as_rational()
-    rows = {key: (amp.norm_sq() / norm).as_rational() for key, amp in state.terms()}
+    rows = {key: _born_weight(key, amp.norm_sq() / norm) for key, amp in state.terms()}
     return OutcomeTable(rows, Fraction(norm if kept_weight is None else kept_weight))
 
 
@@ -109,7 +118,7 @@ def conditional(state: TwoPhotonState, given: ModeLabel) -> dict[ModeLabel, Frac
     for (p, m), amp in state.terms():
         own, other = (p, m) if given.arm is Arm.PLUS else (m, p)
         if own == given:
-            weights[other] = weights.get(other, Fraction(0)) + amp.norm_sq().as_rational()
+            weights[other] = weights.get(other, Fraction(0)) + _born_weight((p, m), amp.norm_sq())
     total = sum(weights.values(), Fraction(0))
     if total == 0:
         raise ZeroConditioningEvent(f"{given} has zero marginal probability")

@@ -5,10 +5,17 @@ maps to a list of (output label, amplitude) pairs.  Columns must be exactly
 unit-norm and pairwise orthogonal, which the constructor verifies, so norm
 conservation of the evolution is guaranteed by construction.  Modes of the
 state that a transform does not consume pass through unchanged.
+
+The columns also say whether an element acts in place: its outputs are
+either exactly its inputs (a phase shift) or all fresh modes (a splitter, a
+preset); any other overlap is rejected.  Each preset is written once, as its
+columns over mode names in ``PRESETS``; the modes it consumes and produces
+(:func:`preset_modes`) are read off those columns.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Tuple
@@ -22,7 +29,6 @@ Column = Tuple[Tuple[ModeLabel, RadicalComplex], ...]
 class _Transform(NamedTuple):
     arm: Arm
     columns: Mapping[ModeLabel, Column]
-    in_place: bool = False
 
 
 class ModeTransform(_Transform):
@@ -30,7 +36,7 @@ class ModeTransform(_Transform):
 
     __slots__ = ()
 
-    def __new__(cls, arm: Arm, columns: Mapping[ModeLabel, Column], in_place: bool = False):
+    def __new__(cls, arm: Arm, columns: Mapping[ModeLabel, Column]):
         inputs = set(columns)
         outputs: set[ModeLabel] = set()
         for src, pairs in columns.items():
@@ -59,12 +65,9 @@ class ModeTransform(_Transform):
                     dot = dot + ca.conjugate() * cb
             if not dot.is_zero:
                 raise ValueError(f"columns {a} and {b} are not orthogonal (got {dot})")
-        if in_place:
-            if inputs != outputs:
-                raise ValueError("an in-place element must map modes onto themselves")
-        elif inputs & outputs:
-            raise ValueError("input and output modes overlap; declare the element in-place")
-        return super().__new__(cls, arm, columns, in_place)
+        if inputs & outputs and inputs != outputs:
+            raise ValueError("an element must map its modes onto themselves or onto fresh modes")
+        return super().__new__(cls, arm, columns)
 
 
 def beamsplitter(t, in1: ModeLabel, in2: ModeLabel, out1: ModeLabel, out2: ModeLabel) -> ModeTransform:
@@ -98,15 +101,31 @@ def beamsplitter(t, in1: ModeLabel, in2: ModeLabel, out1: ModeLabel, out2: ModeL
 def phase_shift(quarter_turns: int, mode: ModeLabel) -> ModeTransform:
     """In-place phase i**k on one mode; only quarter turns are exactly representable."""
     factor = quarter_phase(quarter_turns)
-    return ModeTransform(mode.arm, {mode: ((mode, factor),)}, in_place=True)
+    return ModeTransform(mode.arm, {mode: ((mode, factor),)})
 
 
-# Mode names consumed and produced by each composite preset stage.
-PRESET_IO: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "preset_eq2": (("a", "b"), ("u", "v", "g", "f")),
-    "preset_eq5": (("u", "v"), ("c", "d")),
+_R2, _R3 = inv_sqrt(2), inv_sqrt(3)
+
+# The composite stages shipped with the circuit format, as input name -> column.
+# Column entries are listed so that outputs first appear in the order u v g f.
+PRESETS: dict[str, dict[str, tuple[tuple[str, RadicalComplex], ...]]] = {
+    "preset_eq2": {
+        "a": (("u", I * _R3), ("v", _R3), ("g", -_R3)),
+        "b": (("u", -_R3), ("g", I * _R3), ("f", _R3)),
+    },
+    "preset_eq5": {
+        "u": (("c", _R2), ("d", I * _R2)),
+        "v": (("d", _R2), ("c", I * _R2)),
+    },
 }
-PRESET_NAMES = tuple(PRESET_IO)
+
+
+@functools.cache
+def preset_modes(name: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Mode names the preset consumes and produces, in order of first appearance
+    in its columns: ``preset_eq2`` gives (a b, u v g f), ``preset_eq5`` (u v, c d)."""
+    columns = PRESETS[name]
+    return tuple(columns), tuple(dict.fromkeys(out for col in columns.values() for out, _ in col))
 
 
 def preset(name: str, arm: Arm) -> ModeTransform:
@@ -118,22 +137,12 @@ def preset(name: str, arm: Arm) -> ModeTransform:
     ports g, f.  ``preset_eq5`` is the balanced output splitter taking u, v
     onto the detector ports c, d.
     """
-    if name not in PRESET_IO:
+    if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}")
-    lbl = lambda n: ModeLabel(n, arm)
-    if name == "preset_eq2":
-        r3 = inv_sqrt(3)
-        columns = {
-            lbl("a"): ((lbl("v"), r3), (lbl("u"), I * r3), (lbl("g"), -r3)),
-            lbl("b"): ((lbl("f"), r3), (lbl("u"), -r3), (lbl("g"), I * r3)),
-        }
-    else:
-        r2 = inv_sqrt(2)
-        columns = {
-            lbl("u"): ((lbl("c"), r2), (lbl("d"), I * r2)),
-            lbl("v"): ((lbl("d"), r2), (lbl("c"), I * r2)),
-        }
-    return ModeTransform(arm, columns)
+    return ModeTransform(arm, {
+        ModeLabel(src, arm): tuple((ModeLabel(out, arm), amp) for out, amp in column)
+        for src, column in PRESETS[name].items()
+    })
 
 
 def apply_transform(state: TwoPhotonState, transform: ModeTransform) -> TwoPhotonState:

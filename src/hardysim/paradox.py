@@ -27,10 +27,15 @@ the class shares its verdict and reasons:
 ``CONTEXTUAL`` keeps every route ``LOCAL_COUNTERFACTUAL`` keeps.  An
 outcome that quantum mechanics predicts with positive probability but that
 no feasible route reaches gets the verdict ``forbidden-but-predicted``:
-the trajectory contradiction.  ``product_test`` covers the complementary
-argument for circuits without post-selection: statistics produced by two
-photons answering independently would factorise into the product of the
-marginals, and a witness cell shows when the quantum table does not.
+the trajectory contradiction.  Every other outcome is ``consistent``.  The
+reverse mismatch cannot occur: both rule sets reject a route whose exit
+pair has amplitude 0 in the fully evolved state, so an outcome with a
+feasible route has a nonzero amplitude and a positive Born weight.
+
+``product_test`` covers the complementary argument for circuits without
+post-selection: statistics produced by two photons answering independently
+would factorise into the product of the marginals, and a witness cell shows
+when the quantum table does not.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .state import Arm, ModeLabel, PairKey, TwoPhotonState
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_FORBIDDEN_BUT_PREDICTED = "forbidden-but-predicted"
-VERDICT_ALLOWED_BUT_IMPOSSIBLE = "allowed-but-impossible"
 
 
 class RuleSet(enum.Enum):
@@ -258,7 +262,8 @@ def paradox_report(circuit: Circuit, rules: RuleSet) -> ParadoxReport:
 
     ``forbidden-but-predicted`` flags an outcome with positive quantum
     probability that no feasible assignment reaches — the contradiction that
-    rules out the rule set.  Requires detectors declared on both arms.
+    rules out the rule set; every other outcome is ``consistent``.  Requires
+    detectors declared on both arms.
     """
     context = _analyze(circuit)
     plus_detectors = circuit.detectors_on(Arm.PLUS)
@@ -283,12 +288,8 @@ def paradox_report(circuit: Circuit, rules: RuleSet) -> ParadoxReport:
                 else:
                     kept.append(assignment)
             qm_p = table.rows.get((p, m), Fraction(0))
-            if qm_p > 0 and not kept:
-                verdict = VERDICT_FORBIDDEN_BUT_PREDICTED
-            elif qm_p == 0 and kept:
-                verdict = VERDICT_ALLOWED_BUT_IMPOSSIBLE
-            else:
-                verdict = VERDICT_CONSISTENT
+            predicted_only = qm_p > 0 and not kept
+            verdict = VERDICT_FORBIDDEN_BUT_PREDICTED if predicted_only else VERDICT_CONSISTENT
             rows.append(OutcomeVerdict((p, m), qm_p, tuple(kept), tuple(rejected), verdict))
     return ParadoxReport(rules, table.kept_weight, tuple(rows))
 

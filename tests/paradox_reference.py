@@ -14,7 +14,6 @@ from fractions import Fraction
 from hardysim import engine
 from hardysim.optics import apply_transform
 from hardysim.paradox import (
-    VERDICT_ALLOWED_BUT_IMPOSSIBLE,
     VERDICT_CONSISTENT,
     VERDICT_FORBIDDEN_BUT_PREDICTED,
     OutcomeVerdict,
@@ -23,6 +22,10 @@ from hardysim.paradox import (
     TrajectoryAssignment,
 )
 from hardysim.state import Arm
+
+# The audit dropped this verdict because it cannot fire; the reference still
+# computes it, and the differential tests assert that it never does.
+VERDICT_ALLOWED_BUT_IMPOSSIBLE = "allowed-but-impossible"
 
 
 def _fold(state, stages):

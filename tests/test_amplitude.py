@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from amplitude_reference import parse_amplitude_reference
 
 from hardysim.amplitude import (
     I,
@@ -33,6 +35,19 @@ values = st.builds(
     st.tuples(coeffs, coeffs, coeffs, coeffs),
     st.tuples(coeffs, coeffs, coeffs, coeffs),
 )
+
+small = st.integers(min_value=0, max_value=13)
+spaces = st.sampled_from(("", " ", "  "))
+# Grammar pieces, some of them malformed on purpose (zero denominators,
+# radicals outside the basis), plus junk characters the tokenizer rejects.
+pieces = st.one_of(
+    st.builds("{1}({0}{2}/{3}{1})".format, st.sampled_from(("", "-", "+")), spaces, small, small),
+    small.map(str),
+    st.builds("sqrt({0})".format, small),
+    st.builds("sqrt({0}{2}/{1}{0})".format, spaces, small, small),
+    st.sampled_from(("i", "+", "-", "*", "/", " ", "*i", "/i", "@", "(", ")", "x", "sqrt(", ".")),
+)
+amplitude_texts = st.lists(pieces, max_size=12).map("".join)
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -194,3 +209,17 @@ def test_norm_is_real_and_nonnegative(z):
 def test_to_complex_is_a_homomorphism(a, b):
     product = (a * b).to_complex()
     assert abs(product - a.to_complex() * b.to_complex()) < 1e-9
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except AmplitudeParseError as exc:
+        return (str(exc), exc.pos)
+
+
+@settings(max_examples=400)
+@given(amplitude_texts)
+def test_parse_matches_the_recursive_descent_reference(text):
+    # Same value, or the same message at the same 0-based offset.
+    assert _outcome(parse_amplitude, text) == _outcome(parse_amplitude_reference, text)

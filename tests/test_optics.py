@@ -6,13 +6,13 @@ import pytest
 import support
 from hardysim.amplitude import I, ONE, ZERO, inv_sqrt, rational
 from hardysim.optics import (
-    PRESET_IO,
-    PRESET_NAMES,
+    PRESETS,
     ModeTransform,
     apply_transform,
     beamsplitter,
     phase_shift,
     preset,
+    preset_modes,
 )
 from hardysim.state import Arm, ArmMismatch, TwoPhotonState, minus, plus
 
@@ -59,9 +59,9 @@ def test_mixed_arm_ports_rejected():
 # ------------------------------------------------------------------- presets
 
 def test_preset_names():
-    assert PRESET_NAMES == ("preset_eq2", "preset_eq5")
-    assert PRESET_IO["preset_eq2"] == (("a", "b"), ("u", "v", "g", "f"))
-    assert PRESET_IO["preset_eq5"] == (("u", "v"), ("c", "d"))
+    assert tuple(PRESETS) == ("preset_eq2", "preset_eq5")
+    assert preset_modes("preset_eq2") == (("a", "b"), ("u", "v", "g", "f"))
+    assert preset_modes("preset_eq5") == (("u", "v"), ("c", "d"))
 
 
 def test_three_way_preset_columns():
@@ -96,7 +96,6 @@ def test_phase_shift_quarter_turns():
 
 def test_phase_shift_is_in_place():
     tr = phase_shift(3, minus("g"))
-    assert tr.in_place
     assert tr.columns == {minus("g"): ((minus("g"), -I),)}
 
 
@@ -121,8 +120,16 @@ def test_zero_entry_rejected():
 
 
 def test_output_overlapping_input_rejected():
-    with pytest.raises(ValueError):
-        ModeTransform(Arm.PLUS, {plus("a"): ((plus("a"), I),)})
+    # a+ maps onto itself and onto the fresh b+: neither in place nor onto fresh modes.
+    r2 = inv_sqrt(2)
+    with pytest.raises(ValueError, match="onto fresh modes"):
+        ModeTransform(Arm.PLUS, {plus("a"): ((plus("a"), r2), (plus("b"), I * r2))})
+
+
+def test_modes_mapped_onto_themselves_are_in_place():
+    assert ModeTransform(Arm.PLUS, {plus("a"): ((plus("a"), I),)}) == phase_shift(1, plus("a"))
+    swap = ModeTransform(Arm.PLUS, {plus("a"): ((plus("b"), ONE),), plus("b"): ((plus("a"), ONE),)})
+    assert apply_transform(one_photon_plus("a"), swap) == one_photon_plus("b")
 
 
 # ------------------------------------------------------------------ applying

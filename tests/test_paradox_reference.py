@@ -86,6 +86,9 @@ def _compare(circuit, label):
         new, new_error = _outcome(paradox_report, circuit, rules)
         old, old_error = _outcome(paradox_reference.report, circuit, rules)
         assert new_error is old_error, (label, rules)
+        if old is not None:
+            assert paradox_reference.VERDICT_ALLOWED_BUT_IMPOSSIBLE not in (
+                row.verdict for row in old.outcomes), (label, rules)
         if new is not None:
             assert new.to_json_obj() == old.to_json_obj(), (label, rules)
             reports[rules] = new
