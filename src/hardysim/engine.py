@@ -34,7 +34,8 @@ def _row_order(item):
 
 class OutcomeTable(NamedTuple):
     """Exact joint probabilities per detector pair; the rows always sum to 1.
-    ``kept_weight`` is the post-selection survival probability of their run."""
+    ``kept_weight`` is the post-selection survival probability of their run:
+    the surviving weight over the source weight."""
 
     rows: Mapping[PairKey, Fraction]
     kept_weight: Fraction
@@ -70,16 +71,18 @@ def evolve(state: TwoPhotonState, stages: Iterable[Stage]) -> TwoPhotonState:
 
 
 def postselect(state: TwoPhotonState, discard: Iterable[ModeLabel]) -> tuple[TwoPhotonState, Fraction]:
-    """Drop terms that touch a discarded label; also return the kept weight.
+    """Drop terms that touch a discarded label; also return the surviving weight.
 
-    The kept weight is the squared norm of the surviving part, i.e. the
-    probability that the pair escapes the discarded exits.
+    The surviving weight is the squared norm of the surviving part: for a
+    unit-norm ``state``, the probability that the pair escapes the discarded
+    exits.  Raises NotRational, naming the discard set, when it is irrational.
     """
     dropped = frozenset(discard)
     kept = TwoPhotonState(
         [((p, m), amp) for (p, m), amp in state.terms() if p not in dropped and m not in dropped]
     )
-    return kept, kept.norm_sq().as_rational()
+    where = f" after discarding {' '.join(sorted(map(str, dropped)))}" if dropped else ""
+    return kept, _weight("kept weight", kept.norm_sq(), where)
 
 
 def renormalize(state: TwoPhotonState) -> TwoPhotonState:
@@ -89,6 +92,14 @@ def renormalize(state: TwoPhotonState) -> TwoPhotonState:
         raise ZeroState("cannot renormalise a state with no terms")
     norm = state.norm_sq().as_rational()
     return state.scale(inv_sqrt(norm))
+
+
+def _weight(name: str, weight: RadicalComplex, where: str = "") -> Fraction:
+    """``weight`` as a plain rational, or NotRational naming what it weighs."""
+    try:
+        return weight.as_rational()
+    except NotRational:
+        raise NotRational(f"{name} {weight}{where} is not a plain rational") from None
 
 
 def _born_weight(key: PairKey, weight: RadicalComplex) -> Fraction:
@@ -129,16 +140,19 @@ def boundary(circuit: Circuit) -> tuple[TwoPhotonState, Fraction, tuple[Stage, .
     """The post-selected root state, its kept weight and the stages still to apply.
 
     The cut falls right after the last stage that emits into the discard set
-    (at the source when none does).  Raises ZeroState when no term survives.
+    (at the source when none does).  The kept weight is the surviving weight
+    over the source weight, so an unnormalised source still gets a survival
+    probability.  Raises ZeroState when no term survives.
     """
+    source_weight = _weight("source weight", circuit.source.norm_sq())
     cut = 0
     for index, stage in enumerate(circuit.stages, start=1):
         if any(label in circuit.discard for label in stage.outputs()):
             cut = index
-    root, kept = postselect(evolve(circuit.source, circuit.stages[:cut]), circuit.discard)
+    root, survived = postselect(evolve(circuit.source, circuit.stages[:cut]), circuit.discard)
     if root.is_zero:
         raise ZeroState("post-selection removed every term")
-    return root, kept, circuit.stages[cut:]
+    return root, survived / source_weight, circuit.stages[cut:]
 
 
 def run(circuit: Circuit) -> OutcomeTable:

@@ -2,11 +2,15 @@
 
 Two premises define a trajectory model: each photon carries exactly one full
 wave-packet at every stage boundary of its arm, and a full wave follows the
-optical tracks (it cannot jump to a disconnected path).  Trajectories are
-therefore root-to-leaf paths through a per-arm staged DAG.  The roots sit at
-the post-selection boundary that :func:`hardysim.engine.boundary` computes,
-where the surviving part of the state fixes which labels can be occupied at
-all; the audit evolves on from that root state with :func:`engine.evolve`.
+optical tracks (it cannot jump to a disconnected path).  A trajectory of one
+arm is therefore a path that steps, stage by stage, from a label to one of
+the outputs of that label's column.  The roots sit at the post-selection
+boundary that :func:`hardysim.engine.boundary` computes, where the surviving
+part of the state fixes which labels can be occupied at all.  One walk over
+an arm's stages gives its path table: each root label mapped to all of its
+full-wave paths.  The audit evolves on from the root state with
+:func:`engine.evolve`: to the fully evolved state always, and to a
+single-sided state only when the local rules first read it.
 
 A route (a ``TrajectoryAssignment``) is one path per arm.  Routes are built
 only from the joint root pairs the post-selected state occupies, so every
@@ -61,25 +65,13 @@ class RuleSet(enum.Enum):
     CONTEXTUAL = "contextual"
 
 
-class ArmGraph(NamedTuple):
-    """Staged DAG of one arm: layer 0 holds the roots, one layer per stage after."""
-
-    arm: Arm
-    layers: tuple[tuple[ModeLabel, ...], ...]
-    edges: tuple[Mapping[ModeLabel, tuple[ModeLabel, ...]], ...]
-
-    def paths(self, root: ModeLabel) -> tuple[tuple[ModeLabel, ...], ...]:
-        if root not in self.layers[0]:
-            raise ValueError(f"{root} is not a root of the {self.arm} arm graph")
-        acc = [(root,)]
-        for edge_map in self.edges:
-            acc = [path + (nxt,) for path in acc for nxt in edge_map[path[-1]]]
-        return tuple(acc)
+# Root label -> every full-wave path of one arm from that root, in walk order.
+PathTable = Mapping[ModeLabel, tuple[tuple[ModeLabel, ...], ...]]
 
 
 class TrajectoryGraph(NamedTuple):
-    plus: ArmGraph
-    minus: ArmGraph
+    plus: PathTable
+    minus: PathTable
     joint_roots: tuple[PairKey, ...]
 
 
@@ -158,99 +150,91 @@ class ProductVerdict(NamedTuple):
 
 class _Conditionals(dict):
     """Single-sided exit distributions by the other photon's root label, each computed on
-    first use: contextual rules read none, and an unread one may have irrational weights."""
+    first use from a single-sided state also evolved on first use: contextual rules read
+    none, and an unread one may have irrational weights."""
 
-    def __init__(self, single_plus: TwoPhotonState, single_minus: TwoPhotonState):
+    def __init__(self, root: TwoPhotonState, plus_stages, minus_stages):
         super().__init__()
-        self._single = {Arm.MINUS: single_plus, Arm.PLUS: single_minus}
+        self._root = root
+        self._stages = {Arm.PLUS: plus_stages, Arm.MINUS: minus_stages}
+        self._single: dict[Arm, TwoPhotonState] = {}
+
+    def _evolved(self, arm: Arm) -> TwoPhotonState:
+        if arm not in self._single:
+            self._single[arm] = engine.evolve(self._root, self._stages[arm])
+        return self._single[arm]
+
+    def full(self) -> TwoPhotonState:
+        # The arms act on separate labels: the plus-only state, evolved on minus, is the full one.
+        return engine.evolve(self._evolved(Arm.PLUS), self._stages[Arm.MINUS])
 
     def __missing__(self, given: ModeLabel) -> dict[ModeLabel, Fraction]:
-        found = self[given] = engine.conditional(self._single[given.arm], given)
+        other = Arm.MINUS if given.arm is Arm.PLUS else Arm.PLUS
+        found = self[given] = engine.conditional(self._evolved(other), given)
         return found
 
 
-class _Context(NamedTuple):
-    graph: TrajectoryGraph
-    kept_weight: Fraction
-    given: _Conditionals
-    full: TwoPhotonState
-
-
-def _arm_graph(arm: Arm, support: tuple[ModeLabel, ...], stages) -> ArmGraph:
-    layers = [tuple(sorted(support, key=str))]
-    edges = []
+def _path_table(support: tuple[ModeLabel, ...], stages) -> PathTable:
+    """Every path from each root label, extended stage by stage along the columns."""
+    table = {root: ((root,),) for root in support}
     for stage in stages:
-        transform = stage.transform()
-        edge_map: dict[ModeLabel, tuple[ModeLabel, ...]] = {}
-        nxt: set[ModeLabel] = set()
-        for label in layers[-1]:
-            column = transform.columns.get(label)
-            outs = tuple(sorted((o for o, _ in column), key=str)) if column else (label,)
-            edge_map[label] = outs
-            nxt.update(outs)
-        edges.append(edge_map)
-        layers.append(tuple(sorted(nxt, key=str)))
-    return ArmGraph(arm, tuple(layers), tuple(edges))
+        step = {label: tuple(sorted((out for out, _ in column), key=str))
+                for label, column in stage.transform().columns.items()}
+        table = {root: tuple(path + (nxt,) for path in paths
+                             for nxt in step.get(path[-1], path[-1:]))
+                 for root, paths in table.items()}
+    return table
 
 
-def _analyze(circuit: Circuit) -> _Context:
+def _analyze(circuit: Circuit) -> tuple[TrajectoryGraph, Fraction, _Conditionals]:
     root, kept, region = engine.boundary(circuit)
     plus_stages = tuple(s for s in region if s.arm is Arm.PLUS)
     minus_stages = tuple(s for s in region if s.arm is Arm.MINUS)
     graph = TrajectoryGraph(
-        plus=_arm_graph(Arm.PLUS, root.plus_support(), plus_stages),
-        minus=_arm_graph(Arm.MINUS, root.minus_support(), minus_stages),
+        plus=_path_table(root.plus_support(), plus_stages),
+        minus=_path_table(root.minus_support(), minus_stages),
         joint_roots=root.keys(),
     )
-    # The arms act on separate labels: the plus-only state, evolved on minus, is the full one.
-    single_plus = engine.evolve(root, plus_stages)
-    return _Context(
-        graph=graph,
-        kept_weight=kept,
-        given=_Conditionals(single_plus, engine.evolve(root, minus_stages)),
-        full=engine.evolve(single_plus, minus_stages),
-    )
+    return graph, kept, _Conditionals(root, plus_stages, minus_stages)
 
 
 def build_graph(circuit: Circuit) -> TrajectoryGraph:
-    """Per-arm staged DAG rooted at the post-selection boundary.
+    """One path table per arm, rooted at the post-selection boundary.
 
     The roots are the labels the post-selected state occupies right after
     the last stage that emits into the discard set (the source itself when
-    nothing is discarded); edges follow the nonzero entries of each stage's
-    columns, with untouched labels passing straight through.
+    nothing is discarded); a path steps along the entries of each stage's
+    columns, and a label no stage consumes passes straight through.
     """
-    return _analyze(circuit).graph
+    return _analyze(circuit)[0]
 
 
 def enumerate_assignments(graph: TrajectoryGraph) -> tuple[TrajectoryAssignment, ...]:
     """Every joint assignment over jointly occupied roots, in deterministic order."""
-    out = []
-    for p_root, m_root in graph.joint_roots:
-        for plus_path in graph.plus.paths(p_root):
-            for minus_path in graph.minus.paths(m_root):
-                out.append(TrajectoryAssignment(plus_path, minus_path))
-    return tuple(out)
+    return tuple(TrajectoryAssignment(plus_path, minus_path)
+                 for p_root, m_root in graph.joint_roots
+                 for plus_path in graph.plus[p_root]
+                 for minus_path in graph.minus[m_root])
 
 
-def _judge(context: _Context, root_pair: PairKey, exit_pair: PairKey,
-           rules: RuleSet) -> tuple[str, ...]:
+def _judge(given: _Conditionals, full: TwoPhotonState, root_pair: PairKey,
+           exit_pair: PairKey, rules: RuleSet) -> tuple[str, ...]:
     """Every rule the routes from ``root_pair`` to ``exit_pair`` break; empty if none."""
     p_root, m_root = root_pair
     p_exit, m_exit = exit_pair
     reasons = []
     if rules is RuleSet.LOCAL_COUNTERFACTUAL:
-        if context.given[m_root].get(p_exit, Fraction(0)) == 0:
+        if given[m_root].get(p_exit, Fraction(0)) == 0:
             reasons.append(
                 f"with only the plus arm evolved: given {m_root}, "
                 f"exit {p_exit} has conditional probability 0"
             )
-        if context.given[p_root].get(m_exit, Fraction(0)) == 0:
+        if given[p_root].get(m_exit, Fraction(0)) == 0:
             reasons.append(
                 f"with only the minus arm evolved: given {p_root}, "
                 f"exit {m_exit} has conditional probability 0"
             )
-    if context.full.amplitude(p_exit, m_exit).is_zero:
+    if full.amplitude(p_exit, m_exit).is_zero:
         reasons.append(
             f"the fully evolved wave function gives ({p_exit},{m_exit}) amplitude 0"
         )
@@ -265,14 +249,15 @@ def paradox_report(circuit: Circuit, rules: RuleSet) -> ParadoxReport:
     rules out the rule set; every other outcome is ``consistent``.  Requires
     detectors declared on both arms.
     """
-    context = _analyze(circuit)
+    graph, kept_weight, given = _analyze(circuit)
     plus_detectors = circuit.detectors_on(Arm.PLUS)
     minus_detectors = circuit.detectors_on(Arm.MINUS)
     if not plus_detectors or not minus_detectors:
         raise ValueError("paradox report requires detectors on both arms")
-    table = engine.probabilities(context.full, context.kept_weight)
+    full = given.full()
+    table = engine.probabilities(full, kept_weight)
     by_exit: dict[PairKey, list[TrajectoryAssignment]] = {}
-    for assignment in enumerate_assignments(context.graph):
+    for assignment in enumerate_assignments(graph):
         by_exit.setdefault(assignment.exit_pair, []).append(assignment)
     rows = []
     for p in plus_detectors:
@@ -282,7 +267,7 @@ def paradox_report(circuit: Circuit, rules: RuleSet) -> ParadoxReport:
             for assignment in by_exit.get((p, m), ()):
                 root = assignment.root_pair
                 if root not in judged:
-                    judged[root] = _judge(context, root, (p, m), rules)
+                    judged[root] = _judge(given, full, root, (p, m), rules)
                 if judged[root]:
                     rejected.append((assignment, judged[root]))
                 else:

@@ -91,12 +91,13 @@ def _analyze(circuit):
 
 
 def table(circuit):
-    """The outcome table with post-selection after the last stage."""
-    kept_state, kept = engine.postselect(engine.evolve(circuit.source, circuit.stages),
-                                         circuit.discard)
+    """The outcome table with post-selection after the last stage.  Its kept
+    weight is the surviving weight over the source weight, as in ``engine.run``."""
+    kept_state, survived = engine.postselect(engine.evolve(circuit.source, circuit.stages),
+                                             circuit.discard)
     if kept_state.is_zero:
         raise engine.ZeroState("post-selection removed every term")
-    return engine.probabilities(kept_state, kept)
+    return engine.probabilities(kept_state, survived / circuit.source.norm_sq().as_rational())
 
 
 def _reasons(context, assignment, rules):

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from conftest import CIRCUITS
-from hardysim import cli
+from hardysim import cli, engine
+from hardysim.circuitdsl import parse
 from hardysim.cli import main
 from hardysim.montecarlo import DEFAULT_SEED
 from hardysim.paradox import RuleSet
@@ -360,3 +361,29 @@ def test_rational_weights_tabulate_without_a_square_root(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: sqrt(9/5) needs sqrt(5), outside the basis\n"
+
+
+# ---------------------------------------------------------- unnormalised sources
+
+# The source has weight 2 and the splitter sends half of it to the discarded
+# d+: the pair survives with probability 1/2, whatever the source's scale.
+UNNORMALISED = (
+    "modes + a b c d\nmodes - a b\n"
+    "source (a+,a-) 1; (b+,b-) 1\n"
+    "stage bs 1/2 a+ b+ -> c+ d+\n"
+    "discard d+\n"
+    "detect c+ a- b-\n"
+)
+
+
+def test_kept_weight_is_relative_to_the_source_weight(capsys, tmp_path):
+    path = tmp_path / "unnormalised.circ"
+    path.write_text(UNNORMALISED)
+    code, out, err = run(capsys, "probs", str(path))
+    assert (code, err) == (0, "")
+    assert out == "kept_weight 1/2\n(c+,a-) 1/2\n(c+,b-) 1/2\n"
+    code, out, err = run(capsys, "paradox", "--format", "csv", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "# rules=local kept_weight=1/2"
+    normalised = parse(UNNORMALISED.replace("1; (b+,b-) 1", "(1/1)/sqrt(2); (b+,b-) (1/1)/sqrt(2)"))
+    assert engine.run(parse(UNNORMALISED)) == engine.run(normalised)

@@ -64,6 +64,22 @@ SIXTEEN_OUTCOMES = "modes + a b c d\nmodes - a b c d\nsource " + "; ".join(
 
 NO_DETECTORS = "modes + a\nmodes - a\nsource (a+,a-) 1\n"
 
+# A 1/3 splitter sends weight 1/2 - sqrt(2)/3 to the kept c+: the kept
+# weight itself is irrational, so no row is reached.
+IRRATIONAL_KEPT = """\
+modes + a b c d
+modes - a
+source (a+,a-) (1/1)/sqrt(2); (b+,a-) (1/1)/sqrt(2)*i
+stage bs 1/3 a+ b+ -> c+ d+
+discard d+
+detect c+ a-
+"""
+KEPT_NOT_RATIONAL = "kept weight (1/2) - (1/3)*sqrt(2) after discarding d+ is not a plain rational\n"
+
+# The kept weight is relative to the source weight, which must be rational.
+IRRATIONAL_SOURCE = "modes + a\nmodes - a\nsource (a+,a-) (1/2) + (1/2)*sqrt(2)\ndetect a+ a-\n"
+SOURCE_NOT_RATIONAL = "source weight (3/4) + (1/2)*sqrt(2) is not a plain rational\n"
+
 # The first irrational row, named by its outcome pair.  perfbench's ladder-probs
 # counts an op as a known failure only when stderr matches
 # ``error: .* is not a plain rational\n\Z``, so the line keeps that ending.
@@ -77,6 +93,10 @@ NOT_RATIONAL = "(c+,c-) has Born weight (17/36) - (1/3)*sqrt(2), which is not a 
     (UNBALANCED_LADDER, ["paradox", "--rules", "contextual", "--format", "json"], NOT_RATIONAL),
     (SIXTEEN_OUTCOMES, ["sample", "--format", "json"], "15 degrees of freedom"),
     (NO_DETECTORS, ["paradox"], "requires detectors on both arms"),
+    (IRRATIONAL_KEPT, ["probs"], KEPT_NOT_RATIONAL),
+    (IRRATIONAL_KEPT, ["evolve", "--format", "csv"], KEPT_NOT_RATIONAL),
+    (IRRATIONAL_KEPT, ["paradox", "--rules", "contextual"], KEPT_NOT_RATIONAL),
+    (IRRATIONAL_SOURCE, ["probs", "--format", "json"], SOURCE_NOT_RATIONAL),
 ])
 def test_fresh_process_error_paths_match_in_process(text, argv, message, tmp_path, capsys):
     path = tmp_path / "circuit.circ"
@@ -89,4 +109,5 @@ def test_fresh_process_error_paths_match_in_process(text, argv, message, tmp_pat
 
 
 def test_not_rational_line_keeps_the_pattern_the_benchmark_counts():
-    assert re.match(r"error: .* is not a plain rational\n\Z", "error: " + NOT_RATIONAL)
+    for message in (NOT_RATIONAL, KEPT_NOT_RATIONAL, SOURCE_NOT_RATIONAL):
+        assert re.match(r"error: .* is not a plain rational\n\Z", "error: " + message)

@@ -32,18 +32,26 @@ def test_graph_roots_sit_at_postselection_boundary(hardy_full):
         (plus("v"), minus("u")),
         (plus("v"), minus("v")),
     )
-    assert graph.plus.layers == ((plus("u"), plus("v")), (plus("c"), plus("d")))
-    assert graph.minus.layers == ((minus("u"), minus("v")), (minus("c"), minus("d")))
+    # Each arm's path table has one entry per root label, and every path
+    # starts on its root and ends on an exit of the preset.
+    assert list(graph.plus) == [plus("u"), plus("v")]
+    assert list(graph.minus) == [minus("u"), minus("v")]
+    for table, exits in ((graph.plus, {plus("c"), plus("d")}),
+                         (graph.minus, {minus("c"), minus("d")})):
+        for root, paths in table.items():
+            assert {path[0] for path in paths} == {root}
+            assert {path[-1] for path in paths} == exits
 
 
 def test_paths_follow_the_tracks(hardy_full):
     graph = build_graph(hardy_full)
-    assert graph.plus.paths(plus("u")) == (
+    assert graph.plus[plus("u")] == (
         (plus("u"), plus("c")),
         (plus("u"), plus("d")),
     )
-    with pytest.raises(ValueError):
-        graph.plus.paths(plus("c"))
+    # Only root labels have paths: an exit is not a root.
+    with pytest.raises(KeyError):
+        graph.plus[plus("c")]
 
 
 def test_assignment_enumeration_is_complete(hardy_full):
@@ -56,8 +64,7 @@ def test_assignment_enumeration_is_complete(hardy_full):
 def test_pass_through_labels_get_identity_edges(hardy_partial_plus):
     graph = build_graph(hardy_partial_plus)
     # No stage acts on the minus arm after post-selection: one-node paths.
-    assert graph.minus.layers == ((minus("u"), minus("v")),)
-    assert graph.minus.paths(minus("u")) == ((minus("u"),),)
+    assert graph.minus == {minus("u"): ((minus("u"),),), minus("v"): ((minus("v"),),)}
 
 
 # -------------------------------------------------------------- feasibility

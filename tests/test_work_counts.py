@@ -1,9 +1,10 @@
 """How much work a parse and a paradox audit do, counted at the layer boundaries.
 
 A stage builds its transform at most once and keeps it; the audit folds
-each stage into the state once per evolution it needs, never re-runs the
-whole pipeline through ``engine.run``, and computes each single-sided
-conditional at most once per root label.  A route's verdict reads only its
+each stage into the state once per evolution it needs, evolves a
+single-sided state only for the local rules, never re-runs the whole
+pipeline through ``engine.run``, and computes each single-sided conditional
+at most once per root label.  A route's verdict reads only its
 root pair and exit pair, so the report judges each such class once, not
 each route.  ``engine.run`` post-selects once, at the boundary, so no stage
 after it carries a discarded term.
@@ -97,6 +98,23 @@ def test_the_report_judges_each_root_and_exit_class_once(monkeypatch):
             assert 0 < reads["amplitude"] <= len(classes), (rules, len(routes))
     # LADDER has more routes than classes: judging per route reads too often.
     assert len(routes) == 32 > len(classes)
+
+
+def test_the_audit_evolves_only_the_states_its_rules_read(monkeypatch):
+    # The boundary evolves once; the fully evolved state takes two folds, the
+    # plus arm and then the minus arm.  Only local rules read the single-sided
+    # states, and the plus-only one is the first fold of the full state.
+    evolves = Counter()
+    _count_calls(monkeypatch, engine, "evolve", evolves)
+    full_text = (CIRCUITS / "hardy_full.circ").read_text(encoding="utf-8")
+    for text in (full_text, LADDER):
+        circuit = parse(text)
+        for audit, expected in ((lambda: paradox_report(circuit, RuleSet.CONTEXTUAL), 3),
+                                (lambda: paradox_report(circuit, RuleSet.LOCAL_COUNTERFACTUAL), 4),
+                                (lambda: build_graph(circuit), 1)):
+            evolves.clear()
+            audit()
+            assert evolves["evolve"] == expected
 
 
 def test_run_postselects_once_and_carries_no_discarded_term_past_the_boundary(monkeypatch):
