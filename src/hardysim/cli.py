@@ -6,6 +6,10 @@ stderr, 2 on a usage error.  Circuit diagnostics are prefixed with the
 file's basename, so editors and test harnesses can jump straight to
 ``file:line:column``.
 
+Every output format is written here, from the fields of the records the
+library returns.  ``evolve`` and ``probs`` JSON name labels bare (``"c"``),
+while ``paradox`` and ``sample`` JSON give them with their arm (``"c+"``).
+
 Each subcommand imports only the modules it runs: ``check`` needs the
 parser alone, ``paradox`` and ``sample`` load :mod:`~hardysim.paradox` and
 :mod:`~hardysim.montecarlo` when they run, and ``json`` loads only for
@@ -112,7 +116,8 @@ def _print_evolve(circuit: Circuit, fmt: str):
     if circuit.discard:
         state = engine.renormalize(state)
     if fmt == "json":
-        _print_json(state.to_json_obj())
+        _print_json({"terms": [{"plus": p.name, "minus": m.name, "amp": str(amp)}
+                               for (p, m), amp in state.terms()]})
     elif fmt == "csv":
         print("plus,minus,amp")
         for (p, m), amp in state.terms():
@@ -126,17 +131,25 @@ def _print_probs(circuit: Circuit, fmt: str):
     from . import engine
 
     table = engine.run(circuit)
+    rows = table.sorted_rows()
     if fmt == "json":
-        _print_json(table.to_json_obj())
+        _print_json({"kept_weight": str(table.kept_weight),
+                     "rows": [{"plus": p.name, "minus": m.name, "p": str(probability)}
+                              for (p, m), probability in rows]})
     elif fmt == "csv":
         print("outcome_plus,outcome_minus,p")
-        for (p, m), probability in table.sorted_rows():
+        for (p, m), probability in rows:
             print(f"{p},{m},{probability}")
         print(f"# kept_weight={table.kept_weight}")
     else:
         print(f"kept_weight {table.kept_weight}")
-        for (p, m), probability in table.sorted_rows():
+        for (p, m), probability in rows:
             print(f"({p},{m}) {probability}")
+
+
+def _route(assignment) -> dict:
+    return {"plus": [str(label) for label in assignment.plus_path],
+            "minus": [str(label) for label in assignment.minus_path]}
 
 
 def _print_paradox(circuit: Circuit, rules: str, fmt: str):
@@ -144,7 +157,18 @@ def _print_paradox(circuit: Circuit, rules: str, fmt: str):
 
     report = paradox.paradox_report(circuit, paradox.RuleSet(rules))
     if fmt == "json":
-        _print_json(report.to_json_obj())
+        _print_json({
+            "rules": report.rules.value,
+            "kept_weight": str(report.kept_weight),
+            "outcomes": [{
+                "outcome": [str(label) for label in row.outcome],
+                "qm_p": str(row.qm_probability),
+                "feasible": [_route(a) for a in row.feasible],
+                "rejected": [{"assignment": _route(a), "reasons": reasons}
+                             for a, reasons in row.rejected],
+                "verdict": row.verdict,
+            } for row in report.outcomes],
+        })
     elif fmt == "csv":
         print("outcome_plus,outcome_minus,qm_p,feasible,verdict")
         for row in report.outcomes:
@@ -166,12 +190,23 @@ def _print_sample(circuit: Circuit, n: int, seed: int, fmt: str):
 
     table = engine.run(circuit)
     record = montecarlo.run(table, n, seed)
+    rows = table.sorted_rows()
     if fmt == "json":
-        _print_json(record.to_json_obj())
+        # The record's fields in their order, with the counts as a list of rows.
+        _print_json({**record._asdict(), "counts": [
+            {"plus": str(p), "minus": str(m), "count": record.counts[(p, m)]}
+            for (p, m), _ in rows]})
     elif fmt == "csv":
-        print(montecarlo.to_csv(record, table), end="")
+        # engine.run's rows sum to 1, so n * p is a row's expected count.
+        print("outcome_plus,outcome_minus,count,expected")
+        for (p, m), probability in rows:
+            print(f"{p},{m},{record.counts[(p, m)]},{record.n * probability}")
+        print(
+            f"# seed={record.seed} n={record.n} chi_square={record.chi_square:.6f}"
+            f" df={record.df} pass_95={record.pass_95} pass_99={record.pass_99}"
+        )
     else:
-        for (p, m), _ in table.sorted_rows():
+        for (p, m), _ in rows:
             print(f"({p},{m}) {record.counts[(p, m)]}")
         print(
             f"chi_square {record.chi_square:.6f} df {record.df}"

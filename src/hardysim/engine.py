@@ -53,15 +53,6 @@ class OutcomeTable(NamedTuple):
             out[label] = out.get(label, Fraction(0)) + prob
         return out
 
-    def to_json_obj(self) -> dict:
-        return {
-            "kept_weight": str(self.kept_weight),
-            "rows": [
-                {"plus": p.name, "minus": m.name, "p": str(prob)}
-                for (p, m), prob in self.sorted_rows()
-            ],
-        }
-
 
 def evolve(state: TwoPhotonState, stages: Iterable[Stage]) -> TwoPhotonState:
     """``state`` pushed through ``stages`` in order (no post-selection)."""
@@ -111,12 +102,12 @@ def _born_weight(key: PairKey, weight: RadicalComplex) -> Fraction:
                           "which is not a plain rational") from None
 
 
-def probabilities(state: TwoPhotonState, kept_weight: Fraction | None = None) -> OutcomeTable:
+def probabilities(state: TwoPhotonState, kept_weight: Fraction) -> OutcomeTable:
     """One row per term: its exact Born weight |amplitude|^2 over the state's own
-    squared norm, so rows sum to 1; ``kept_weight`` defaults to that norm."""
+    squared norm, so rows sum to 1, next to the run's ``kept_weight``."""
     norm = state.norm_sq().as_rational()
     rows = {key: _born_weight(key, amp.norm_sq() / norm) for key, amp in state.terms()}
-    return OutcomeTable(rows, Fraction(norm if kept_weight is None else kept_weight))
+    return OutcomeTable(rows, kept_weight)
 
 
 def conditional(state: TwoPhotonState, given: ModeLabel) -> dict[ModeLabel, Fraction]:

@@ -21,8 +21,8 @@ agree with.
 ``chi_square_test`` compares observed counts against the exact expected
 counts.  The statistic is accumulated as a ``Fraction`` and only converted
 to float at the end; it is judged against stored critical values for 1 to 8
-degrees of freedom at the 95% and 99% levels.  A table of more than nine
-rows, such as the 12 to 16 rows of a width-4 ladder, raises
+degrees of freedom at the 95% and 99% levels.  A table of ten or more
+rows, as most (not all) width-4 ladders give, raises
 :class:`DegreesOfFreedomOutOfRange`.
 """
 
@@ -99,22 +99,6 @@ class RunRecord(NamedTuple):
     df: int
     pass_95: bool
     pass_99: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.n,
-            "counts": [
-                {"plus": str(p), "minus": str(m), "count": c}
-                for (p, m), c in sorted(
-                    self.counts.items(), key=lambda kv: (kv[0][0].name, kv[0][1].name)
-                )
-            ],
-            "chi_square": self.chi_square,
-            "df": self.df,
-            "pass_95": self.pass_95,
-            "pass_99": self.pass_99,
-        }
 
 
 def _thresholds(table: OutcomeTable) -> tuple[list[PairKey], list[int]]:
@@ -215,16 +199,3 @@ def run(table: OutcomeTable, n: int, seed: int = DEFAULT_SEED) -> RunRecord:
     statistic, df, pass_95, pass_99 = chi_square_test(counts, table)
     return RunRecord(seed, n, counts, statistic, df, pass_95, pass_99)
 
-
-def to_csv(record: RunRecord, table: OutcomeTable) -> str:
-    """Counts next to exact expectations, one row per outcome, summary in a comment."""
-    total = table.total()
-    lines = ["outcome_plus,outcome_minus,count,expected"]
-    for (p, m), probability in table.sorted_rows():
-        expected = record.n * probability / total
-        lines.append(f"{p},{m},{record.counts.get((p, m), 0)},{str(expected)}")
-    lines.append(
-        f"# seed={record.seed} n={record.n} chi_square={record.chi_square:.6f}"
-        f" df={record.df} pass_95={record.pass_95} pass_99={record.pass_99}"
-    )
-    return "\n".join(lines) + "\n"

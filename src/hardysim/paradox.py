@@ -89,12 +89,6 @@ class TrajectoryAssignment(NamedTuple):
     def exit_pair(self) -> PairKey:
         return (self.plus_path[-1], self.minus_path[-1])
 
-    def to_json_obj(self) -> dict:
-        return {
-            "plus": [str(l) for l in self.plus_path],
-            "minus": [str(l) for l in self.minus_path],
-        }
-
 
 class OutcomeVerdict(NamedTuple):
     outcome: PairKey
@@ -102,19 +96,6 @@ class OutcomeVerdict(NamedTuple):
     feasible: tuple[TrajectoryAssignment, ...]
     rejected: tuple[tuple[TrajectoryAssignment, tuple[str, ...]], ...]
     verdict: str
-
-    def to_json_obj(self) -> dict:
-        p, m = self.outcome
-        return {
-            "outcome": [str(p), str(m)],
-            "qm_p": str(self.qm_probability),
-            "feasible": [a.to_json_obj() for a in self.feasible],
-            "rejected": [
-                {"assignment": a.to_json_obj(), "reasons": list(reasons)}
-                for a, reasons in self.rejected
-            ],
-            "verdict": self.verdict,
-        }
 
 
 class ParadoxReport(NamedTuple):
@@ -130,13 +111,6 @@ class ParadoxReport(NamedTuple):
 
     def verdicts(self) -> dict[PairKey, str]:
         return {row.outcome: row.verdict for row in self.outcomes}
-
-    def to_json_obj(self) -> dict:
-        return {
-            "rules": self.rules.value,
-            "kept_weight": str(self.kept_weight),
-            "outcomes": [row.to_json_obj() for row in self.outcomes],
-        }
 
 
 class ProductVerdict(NamedTuple):

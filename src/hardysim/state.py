@@ -134,14 +134,6 @@ class TwoPhotonState:
     def minus_support(self) -> tuple[ModeLabel, ...]:
         return tuple(sorted({m for _, m in self._terms}, key=str))
 
-    def to_json_obj(self) -> dict:
-        return {
-            "terms": [
-                {"plus": p.name, "minus": m.name, "amp": str(amp)}
-                for (p, m), amp in self._terms.items()
-            ]
-        }
-
     def __repr__(self) -> str:
         inner = ", ".join(f"({p},{m}): {amp}" for (p, m), amp in self._terms.items())
         return f"TwoPhotonState{{{inner}}}"

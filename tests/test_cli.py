@@ -221,6 +221,109 @@ def test_sample_json_round_trips(capsys):
     assert sum(row["count"] for row in record["counts"]) == 50
 
 
+# ------------------------------------------ every JSON and CSV shape, unrecorded
+
+# Hardy's state (|uu> + |uv> + |vu>)/sqrt(3), up to a phase, recombined on a
+# balanced splitter per arm: no post-selection, radical amplitudes, and the
+# local rules reject every route to (d+,d-).  The byte gate records only the
+# shipped circuits; these tests pin each format's shape on this one.
+HARDY_STATE = (
+    "modes + u v c d\nmodes - u v c d\n"
+    "source (u+,u-) (1/3)*sqrt(3)*i; (u+,v-) (1/3)*sqrt(3); (v+,u-) (1/3)*sqrt(3)\n"
+    "stage bs 1/2 u+ v+ -> c+ d+\n"
+    "stage bs 1/2 u- v- -> c- d-\n"
+    "detect c+ d+ c- d-\n"
+)
+
+
+@pytest.fixture
+def hardy_state(tmp_path):
+    path = tmp_path / "hardy_state.circ"
+    path.write_text(HARDY_STATE)
+    return str(path)
+
+
+def test_evolve_json_names_labels_bare(capsys, hardy_state):
+    code, out, _ = run(capsys, "evolve", hardy_state, "--format=json")
+    assert code == 0
+    assert json.loads(out) == {"terms": [
+        {"plus": "c", "minus": "c", "amp": "(1/2)*sqrt(3)*i"},
+        {"plus": "c", "minus": "d", "amp": "(-1/6)*sqrt(3)"},
+        {"plus": "d", "minus": "c", "amp": "(-1/6)*sqrt(3)"},
+        {"plus": "d", "minus": "d", "amp": "(1/6)*sqrt(3)*i"},
+    ]}
+
+
+def test_probs_json_names_labels_bare(capsys, hardy_state):
+    code, out, _ = run(capsys, "probs", hardy_state, "--format=json")
+    assert code == 0
+    assert json.loads(out) == {"kept_weight": "1", "rows": [
+        {"plus": "c", "minus": "c", "p": "3/4"},
+        {"plus": "c", "minus": "d", "p": "1/12"},
+        {"plus": "d", "minus": "c", "p": "1/12"},
+        {"plus": "d", "minus": "d", "p": "1/12"},
+    ]}
+
+
+def test_paradox_json_lists_every_route_with_its_reasons(capsys, hardy_state):
+    code, out, _ = run(capsys, "paradox", hardy_state, "--format=json")
+    assert code == 0
+    report = json.loads(out)
+    assert list(report) == ["rules", "kept_weight", "outcomes"]
+    assert (report["rules"], report["kept_weight"]) == ("local", "1")
+    plus_zero = "with only the plus arm evolved: given u-, exit d+ has conditional probability 0"
+    minus_zero = "with only the minus arm evolved: given u+, exit d- has conditional probability 0"
+    assert report["outcomes"][-1] == {
+        "outcome": ["d+", "d-"],
+        "qm_p": "1/12",
+        "feasible": [],
+        "rejected": [
+            {"assignment": {"plus": ["u+", "d+"], "minus": ["u-", "d-"]},
+             "reasons": [plus_zero, minus_zero]},
+            {"assignment": {"plus": ["u+", "d+"], "minus": ["v-", "d-"]},
+             "reasons": [minus_zero]},
+            {"assignment": {"plus": ["v+", "d+"], "minus": ["u-", "d-"]},
+             "reasons": [plus_zero]},
+        ],
+        "verdict": "forbidden-but-predicted",
+    }
+    assert report["outcomes"][1]["feasible"] == [{"plus": ["v+", "c+"], "minus": ["u-", "d-"]}]
+
+
+def test_sample_json_keeps_the_record_fields_in_order(capsys, hardy_state):
+    code, out, _ = run(capsys, "sample", hardy_state, "--n", "600", "--seed", "7", "--format=json")
+    assert code == 0
+    record = json.loads(out)
+    assert list(record) == ["seed", "n", "counts", "chi_square", "df", "pass_95", "pass_99"]
+    assert record == {
+        "seed": 7,
+        "n": 600,
+        "counts": [
+            {"plus": "c+", "minus": "c-", "count": 450},
+            {"plus": "c+", "minus": "d-", "count": 46},
+            {"plus": "d+", "minus": "c-", "count": 56},
+            {"plus": "d+", "minus": "d-", "count": 48},
+        ],
+        "chi_square": 1.12,
+        "df": 3,
+        "pass_95": True,
+        "pass_99": True,
+    }
+
+
+def test_sample_csv_puts_counts_next_to_expectations(capsys, hardy_state):
+    code, out, _ = run(capsys, "sample", hardy_state, "--n", "600", "--seed", "7", "--format=csv")
+    assert code == 0
+    assert out == (
+        "outcome_plus,outcome_minus,count,expected\n"
+        "c+,c-,450,450\n"
+        "c+,d-,46,50\n"
+        "d+,c-,56,50\n"
+        "d+,d-,48,50\n"
+        "# seed=7 n=600 chi_square=1.120000 df=3 pass_95=True pass_99=True\n"
+    )
+
+
 # -------------------------------------------------------------- CLI surface
 
 def _option(command, dest):

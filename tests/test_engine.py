@@ -95,17 +95,6 @@ def test_probabilities_explicit_weight():
     assert table.rows[(plus("u"), minus("u"))] == 1
 
 
-def test_table_json_shape(hardy_reduced):
-    table = engine.run(hardy_reduced)
-    assert table.to_json_obj() == {
-        "kept_weight": "1",
-        "rows": [
-            {"plus": "c", "minus": "d", "p": "1/2"},
-            {"plus": "d", "minus": "c", "p": "1/2"},
-        ],
-    }
-
-
 def test_run_raises_on_fully_discarded_source():
     circuit = parse("modes + u\nmodes - u\nsource (u+,u-) (1/1)\ndiscard u+\n")
     with pytest.raises(engine.ZeroState):

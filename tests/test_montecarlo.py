@@ -14,7 +14,6 @@ from hardysim.montecarlo import (
     SplitMix64,
     chi_square_test,
     sample,
-    to_csv,
 )
 from hardysim.state import minus, plus
 
@@ -277,27 +276,6 @@ def test_run_record_fields():
     assert record.df == 3
     assert record.pass_95 and record.pass_99
     assert sum(record.counts.values()) == 12000
-
-
-def test_run_record_json():
-    record = montecarlo.run(table_of(HARDY_ROWS), 60, seed=3)
-    obj = record.to_json_obj()
-    assert obj["seed"] == 3 and obj["n"] == 60
-    assert [row["plus"] for row in obj["counts"]] == ["c+", "c+", "d+", "d+"]
-    assert isinstance(obj["chi_square"], float)
-    assert isinstance(obj["pass_95"], bool)
-
-
-def test_csv_layout():
-    table = table_of(HARDY_ROWS)
-    record = montecarlo.run(table, 12000)
-    text = to_csv(record, table)
-    lines = text.strip().split("\n")
-    assert lines[0] == "outcome_plus,outcome_minus,count,expected"
-    assert lines[1] == "c+,c-,8976,9000"
-    assert lines[2] == "c+,d-,1014,1000"
-    assert lines[-1].startswith("# seed=24301 n=12000 chi_square=1.560000")
-    assert "pass_95=True" in lines[-1]
 
 
 def test_empirical_frequencies_converge():

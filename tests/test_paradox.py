@@ -128,20 +128,6 @@ def test_partial_placements_are_consistent(hardy_partial_plus, hardy_partial_min
             assert all(row.verdict == VERDICT_CONSISTENT for row in report.outcomes)
 
 
-def test_report_json_shape(hardy_full):
-    report = paradox_report(hardy_full, RuleSet.LOCAL_COUNTERFACTUAL)
-    obj = report.to_json_obj()
-    assert obj["rules"] == "local"
-    assert obj["kept_weight"] == "1/6"
-    dd = obj["outcomes"][-1]
-    assert dd["outcome"] == ["d+", "d-"]
-    assert dd["qm_p"] == "1/12"
-    assert dd["feasible"] == []
-    assert dd["verdict"] == "forbidden-but-predicted"
-    assert len(dd["rejected"]) == 3
-    assert all(entry["reasons"] for entry in dd["rejected"])
-
-
 def test_report_requires_detectors_on_both_arms():
     circuit = parse(
         "modes + u v c d\nmodes - u v\n"

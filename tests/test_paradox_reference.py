@@ -91,7 +91,7 @@ def _compare(circuit, label):
             assert paradox_reference.VERDICT_ALLOWED_BUT_IMPOSSIBLE not in (
                 row.verdict for row in old.outcomes), (label, rules)
         if new is not None:
-            assert new.to_json_obj() == old.to_json_obj(), (label, rules)
+            assert new == old, (label, rules)
             reports[rules] = new
     for report in reports.values():
         assert 0 < report.kept_weight <= 1, label

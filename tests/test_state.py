@@ -106,13 +106,6 @@ def test_equality_and_hash():
     assert a != TwoPhotonState()
 
 
-def test_json_shape():
-    state = TwoPhotonState({(plus("c"), minus("d")): inv_sqrt(2) * I})
-    assert state.to_json_obj() == {
-        "terms": [{"plus": "c", "minus": "d", "amp": "(1/2)*sqrt(2)*i"}]
-    }
-
-
 def test_random_states_addition_commutes():
     rng = random.Random(4)
     for _ in range(50):
