@@ -20,6 +20,13 @@ consume labels that the source or an earlier stage produced and that no
 earlier stage consumed, and ``discard`` and ``detect`` may only name exits,
 labels no stage consumes.
 
+Each ``stage`` line becomes one :class:`Stage` record: its arm, its parameter
+(the transmissivity, the quarter turns or the preset name), and the labels it
+consumes and produces.  The kind classes ``BeamSplitterStage``, ``PhaseStage``
+and ``PresetStage`` add only how to build the exact transform and how to
+render the line.  A splitter's transform is built while parsing, to diagnose
+``unsupported-radical``; a phase's or a preset's on first use.
+
 Every diagnostic is a :class:`CircuitError` carrying a 1-based line and
 column plus a stable kebab-case code:
 
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from . import optics
 from .amplitude import AmplitudeParseError, UnsupportedRadical, parse_amplitude
@@ -50,11 +57,21 @@ class CircuitError(Exception):
         self.message = message
 
 
-class _StageTransform:
-    """Builds a stage's verified transform on the first call and keeps it on the record,
-    outside the tuple of fields, so equality, hashing and repr ignore it."""
+class Stage(NamedTuple):
+    """One optical element on one arm: the labels it consumes and produces, and the
+    parameter its kind reads (a splitter's transmissivity, a phase's quarter turns,
+    a preset's name).
 
-    __slots__ = ()
+    The kind subclasses below define only ``_build`` and ``render``.  ``transform``
+    builds the verified transform on its first call and keeps it on the record,
+    outside the tuple of fields, so equality, hashing and repr ignore it.
+    ``perfbench/spans.py`` wraps ``transform`` on each kind class by name.
+    """
+
+    arm: Arm
+    param: Fraction | int | str
+    inputs: tuple[ModeLabel, ...]
+    outputs: tuple[ModeLabel, ...]
 
     def transform(self) -> optics.ModeTransform:
         built = self.__dict__.get("_transform")
@@ -66,76 +83,29 @@ class _StageTransform:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class _BeamSplitter(NamedTuple):
-    transmissivity: Fraction
-    in1: ModeLabel
-    in2: ModeLabel
-    out1: ModeLabel
-    out2: ModeLabel
-
-
-class BeamSplitterStage(_BeamSplitter, _StageTransform):
-    @property
-    def arm(self) -> Arm:
-        return self.in1.arm
-
-    def inputs(self) -> tuple[ModeLabel, ...]:
-        return (self.in1, self.in2)
-
-    def outputs(self) -> tuple[ModeLabel, ...]:
-        return (self.out1, self.out2)
-
+class BeamSplitterStage(Stage):
     def _build(self) -> optics.ModeTransform:
-        return optics.beamsplitter(self.transmissivity, self.in1, self.in2, self.out1, self.out2)
+        return optics.beamsplitter(self.param, *self.inputs, *self.outputs)
 
     def render(self) -> str:
-        t = self.transmissivity
-        return f"stage bs {t.numerator}/{t.denominator} {self.in1} {self.in2} -> {self.out1} {self.out2}"
+        t, (in1, in2), (out1, out2) = self.param, self.inputs, self.outputs
+        return f"stage bs {t.numerator}/{t.denominator} {in1} {in2} -> {out1} {out2}"
 
 
-class _Phase(NamedTuple):
-    quarter_turns: int
-    mode: ModeLabel
-
-
-class PhaseStage(_Phase, _StageTransform):
-    @property
-    def arm(self) -> Arm:
-        return self.mode.arm
-
-    def inputs(self) -> tuple[ModeLabel, ...]:
-        return (self.mode,)
-
-    def outputs(self) -> tuple[ModeLabel, ...]:
-        return (self.mode,)
-
+class PhaseStage(Stage):
     def _build(self) -> optics.ModeTransform:
-        return optics.phase_shift(self.quarter_turns, self.mode)
+        return optics.phase_shift(self.param, self.inputs[0])
 
     def render(self) -> str:
-        return f"stage phase {self.quarter_turns} {self.mode}"
+        return f"stage phase {self.param} {self.inputs[0]}"
 
 
-class _Preset(NamedTuple):
-    name: str
-    arm: Arm
-
-
-class PresetStage(_Preset, _StageTransform):
-    def inputs(self) -> tuple[ModeLabel, ...]:
-        return tuple(ModeLabel(n, self.arm) for n in optics.preset_modes(self.name)[0])
-
-    def outputs(self) -> tuple[ModeLabel, ...]:
-        return tuple(ModeLabel(n, self.arm) for n in optics.preset_modes(self.name)[1])
-
+class PresetStage(Stage):
     def _build(self) -> optics.ModeTransform:
-        return optics.preset(self.name, self.arm)
+        return optics.preset(self.param, self.arm)
 
     def render(self) -> str:
-        return f"stage {self.name} {self.arm}"
-
-
-Stage = Union[BeamSplitterStage, PhaseStage, PresetStage]
+        return f"stage {self.param} {self.arm}"
 
 
 class Circuit(NamedTuple):
@@ -394,7 +364,7 @@ class _Parser:
         for label, col in outs:
             self._produce(label, lineno, col)
         try:
-            stage = BeamSplitterStage(t, ins[0][0], ins[1][0], outs[0][0], outs[1][0])
+            stage = BeamSplitterStage(stage_arm, t, (ins[0][0], ins[1][0]), (outs[0][0], outs[1][0]))
             stage.transform()
         except UnsupportedRadical as exc:
             self._err(lineno, t_col, "unsupported-radical", str(exc))
@@ -408,21 +378,21 @@ class _Parser:
             self._err(lineno, k_col, "syntax", f"expected an integer quarter-turn count, got {k_tok!r}")
         label, col = self._armed(tokens[3], lineno, "g+")
         self._check_live(label, lineno, col)  # in place: neither consumed nor produced
-        self.stages.append(PhaseStage(int(k_tok) % 4, label))
+        self.stages.append(PhaseStage(label.arm, int(k_tok) % 4, (label,), (label,)))
 
     def _parse_preset(self, tokens, lineno: int):
         name, name_col = tokens[1]
         if len(tokens) != 3:
             self._err(lineno, _end(tokens), "syntax", f"expected: stage {name} <+|->")
-        stage = PresetStage(name, self._arm(tokens[2], lineno))
-        inputs, outputs = stage.inputs(), stage.outputs()
+        arm = self._arm(tokens[2], lineno)
+        inputs, outputs = (tuple(ModeLabel(n, arm) for n in names) for names in optics.preset_modes(name))
         for label in inputs + outputs:
             self._check_declared(label, lineno, name_col)
         for label in inputs:
             self._consume(label, lineno, name_col)
         for label in outputs:
             self._produce(label, lineno, name_col)
-        self.stages.append(stage)
+        self.stages.append(PresetStage(arm, name, inputs, outputs))
 
     # -- exit sets ----------------------------------------------------------
 

@@ -138,7 +138,7 @@ def boundary(circuit: Circuit) -> tuple[TwoPhotonState, Fraction, tuple[Stage, .
     source_weight = _weight("source weight", circuit.source.norm_sq())
     cut = 0
     for index, stage in enumerate(circuit.stages, start=1):
-        if any(label in circuit.discard for label in stage.outputs()):
+        if any(label in circuit.discard for label in stage.outputs):
             cut = index
     root, survived = postselect(evolve(circuit.source, circuit.stages[:cut]), circuit.discard)
     if root.is_zero:

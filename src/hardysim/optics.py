@@ -15,7 +15,6 @@ columns over mode names in ``PRESETS``; the modes it consumes and produces
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Tuple
@@ -120,7 +119,6 @@ PRESETS: dict[str, dict[str, tuple[tuple[str, RadicalComplex], ...]]] = {
 }
 
 
-@functools.cache
 def preset_modes(name: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Mode names the preset consumes and produces, in order of first appearance
     in its columns: ``preset_eq2`` gives (a b, u v g f), ``preset_eq5`` (u v, c d)."""

@@ -103,15 +103,6 @@ class ParadoxReport(NamedTuple):
     kept_weight: Fraction
     outcomes: tuple[OutcomeVerdict, ...]
 
-    def by_outcome(self, pair: PairKey) -> OutcomeVerdict:
-        for row in self.outcomes:
-            if row.outcome == pair:
-                return row
-        raise KeyError(str(pair))
-
-    def verdicts(self) -> dict[PairKey, str]:
-        return {row.outcome: row.verdict for row in self.outcomes}
-
 
 class ProductVerdict(NamedTuple):
     """Whether a joint table factorises into the product of its own marginals."""

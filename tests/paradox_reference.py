@@ -60,14 +60,14 @@ def _paths(root, edges):
 def _analyze(circuit):
     cut = 0
     for index, stage in enumerate(circuit.stages, start=1):
-        if any(label in circuit.discard for label in stage.outputs()):
+        if any(label in circuit.discard for label in stage.outputs):
             cut = index
     prep, region = circuit.stages[:cut], circuit.stages[cut:]
     root, _ = engine.postselect(_fold(circuit.source, prep), circuit.discard)
     if root.is_zero:
         raise engine.ZeroState("post-selection removed every source trajectory")
     for stage in region:
-        if any(label in circuit.discard for label in stage.inputs()):
+        if any(label in circuit.discard for label in stage.inputs):
             raise ValueError(
                 f"stage consumes discarded mode after the post-selection boundary: {stage}"
             )

@@ -1,4 +1,5 @@
-"""Seeded generators for property tests: random amplitudes, states, circuits.
+"""Seeded generators for property tests (random amplitudes, states, circuits),
+and lookups into a paradox report's rows.
 
 Circuits are generated as text so the property suites exercise the parser
 on every run.  The construction keeps track of which labels are live per
@@ -112,3 +113,16 @@ def random_circuit_text(rng: random.Random) -> str:
         take_plus = plus_stages and (not minus_stages or rng.random() < 0.5)
         lines.append(plus_stages.pop(0) if take_plus else minus_stages.pop(0))
     return "\n".join(lines) + "\n"
+
+
+def by_outcome(report, pair):
+    """The report's row for one detector pair."""
+    for row in report.outcomes:
+        if row.outcome == pair:
+            return row
+    raise KeyError(str(pair))
+
+
+def verdicts(report) -> dict:
+    """Detector pair -> verdict, in row order."""
+    return {row.outcome: row.verdict for row in report.outcomes}

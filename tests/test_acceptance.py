@@ -110,13 +110,13 @@ def test_criterion_5_trajectory_verdicts():
         start = time.perf_counter()
         circuit = load_circuit("hardy_full.circ")
         local = paradox.paradox_report(circuit, RuleSet.LOCAL_COUNTERFACTUAL)
-        assert local.verdicts() == {
+        assert support.verdicts(local) == {
             (plus("c"), minus("c")): VERDICT_CONSISTENT,
             (plus("c"), minus("d")): VERDICT_CONSISTENT,
             (plus("d"), minus("c")): VERDICT_CONSISTENT,
             (plus("d"), minus("d")): VERDICT_FORBIDDEN_BUT_PREDICTED,
         }
-        assert local.by_outcome((plus("d"), minus("d"))).qm_probability == Fraction(1, 12)
+        assert support.by_outcome(local, (plus("d"), minus("d"))).qm_probability == Fraction(1, 12)
         contextual = paradox.paradox_report(circuit, RuleSet.CONTEXTUAL)
         assert all(row.verdict == VERDICT_CONSISTENT for row in contextual.outcomes)
         assert time.perf_counter() - start < 1.0

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import support
 from conftest import CIRCUITS, load_circuit
+from hardysim import optics
 from hardysim.circuitdsl import BeamSplitterStage, CircuitError, PhaseStage, PresetStage, parse, render
-from hardysim.state import Arm, minus, plus
+from hardysim.state import Arm, ModeLabel, minus, plus
 
 
 def err(text: str) -> CircuitError:
@@ -49,8 +51,8 @@ def test_source_amplitudes(hardy_full):
 def test_generic_stages_parse():
     circuit = parse(VALID_HEAD + "stage bs 1/3 u+ v+ -> c+ d+\nstage phase 3 c+\n")
     bs, ph = circuit.stages
-    assert bs == BeamSplitterStage(Fraction(1, 3), plus("u"), plus("v"), plus("c"), plus("d"))
-    assert ph == PhaseStage(3, plus("c"))
+    assert bs == BeamSplitterStage(Arm.PLUS, Fraction(1, 3), (plus("u"), plus("v")), (plus("c"), plus("d")))
+    assert ph == PhaseStage(Arm.PLUS, 3, (plus("c"),), (plus("c"),))
 
 
 def test_records_are_immutable(hardy_full):
@@ -65,8 +67,27 @@ def test_records_are_immutable(hardy_full):
 
 def test_bare_modes_with_trailing_arm_marker():
     circuit = parse(VALID_HEAD + "stage bs 1/2 u v -> c d -\n")
-    assert circuit.stages[0].in1 == minus("u")
-    assert circuit.stages[0].out2 == minus("d")
+    assert circuit.stages[0].inputs[0] == minus("u")
+    assert circuit.stages[0].outputs[1] == minus("d")
+
+
+@settings(deadline=None)
+@given(ratio=st.sampled_from(support.SPLIT_RATIOS), names=st.permutations(support.MODE_POOL),
+       arm=st.sampled_from(Arm), bare=st.booleans())
+def test_splitter_orientation_survives_parsing(ratio, names, arm, bare):
+    # in1 transmits to out1 and in2 to out2, whatever the labels and spelling.
+    in1, in2, out1, out2 = names[:4]
+    modes = " ".join(support.MODE_POOL)
+    text = (f"modes + {modes}\nmodes - {modes}\n"
+            f"source ({in1}+,{in1}-) (1/1)/sqrt(2); ({in2}+,{in2}-) (1/1)/sqrt(2)\n")
+    t = f"{ratio.numerator}/{ratio.denominator}"
+    armed = f"stage bs {t} {in1}{arm} {in2}{arm} -> {out1}{arm} {out2}{arm}"
+    circuit = parse(text + (f"stage bs {t} {in1} {in2} -> {out1} {out2} {arm}" if bare else armed))
+    (stage,) = circuit.stages
+    labels = [ModeLabel(name, arm) for name in (in1, in2, out1, out2)]
+    assert stage.transform() == optics.beamsplitter(ratio, *labels)
+    assert stage.render() == armed
+    assert parse(render(circuit)) == circuit
 
 
 def test_comments_and_blank_lines():

@@ -1,4 +1,4 @@
-"""Byte gate for the command line, plus a smoke test of the benchmark's tracer.
+"""Byte gate for the command line, plus smoke tests of the benchmark's tracer and workloads.
 
 ``perfbench/expected/cli_shipped.json`` records stdout, stderr and exit
 code of every subcommand, format and rule set on the shipped circuits.
@@ -9,6 +9,7 @@ root and must reproduce those bytes exactly.  The file is only read.
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -61,3 +62,19 @@ def test_benchmark_tracer_installs_and_uninstalls(capsys, monkeypatch):
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["paradox.report_ms.local"] > 0
     assert [name for name, value in metrics.items() if value is None] == []
+
+
+def test_ladder_paradox_extra_metrics_reach_the_audit(tmp_path, monkeypatch):
+    # ladder-paradox's extra metric builds each circuit's graph and counts its
+    # routes through ``paradox.build_graph`` and ``enumerate_assignments``.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    # workloads.py imports its sibling ladder.py by name, and its dataclasses
+    # need the module registered while it runs.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    workload = workloads.LadderParadox(1, tmp_path)
+    workload.setup()
+    assert workload.extra_metrics([], 1.0) == {"assignments_per_s": (0.0, "1/s")}

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import support
 from hardysim import engine
 from hardysim.circuitdsl import CircuitError, parse
 from hardysim.paradox import (
@@ -71,7 +72,7 @@ def test_pass_through_labels_get_identity_edges(hardy_partial_plus):
 
 def test_joint_detection_is_forbidden_under_counterfactual_rules(hardy_full):
     report = paradox_report(hardy_full, RuleSet.LOCAL_COUNTERFACTUAL)
-    dd = report.by_outcome((plus("d"), minus("d")))
+    dd = support.by_outcome(report, (plus("d"), minus("d")))
     assert dd.feasible == ()
     assert len(dd.rejected) == 3
     for _, reasons in dd.rejected:
@@ -79,7 +80,7 @@ def test_joint_detection_is_forbidden_under_counterfactual_rules(hardy_full):
 
 
 def test_joint_detection_is_allowed_under_contextual_rules(hardy_full):
-    dd = paradox_report(hardy_full, RuleSet.CONTEXTUAL).by_outcome((plus("d"), minus("d")))
+    dd = support.by_outcome(paradox_report(hardy_full, RuleSet.CONTEXTUAL), (plus("d"), minus("d")))
     assert dd.rejected == ()
     assert set(dd.feasible) == {assignment(p_root, "d", m_root, "d")
                                 for p_root, m_root in (("v", "v"), ("v", "u"), ("u", "v"))}
@@ -99,7 +100,7 @@ def test_contextual_rules_keep_everything_local_rules_keep(hardy_full, hardy_red
 def test_full_circuit_report_under_counterfactual_rules(hardy_full):
     report = paradox_report(hardy_full, RuleSet.LOCAL_COUNTERFACTUAL)
     assert report.kept_weight == Fraction(1, 6)
-    dd = report.by_outcome((plus("d"), minus("d")))
+    dd = support.by_outcome(report, (plus("d"), minus("d")))
     assert dd.verdict == VERDICT_FORBIDDEN_BUT_PREDICTED
     assert dd.qm_probability == Fraction(1, 12)
     assert dd.feasible == ()

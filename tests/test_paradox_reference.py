@@ -51,7 +51,7 @@ def _exits(text: str, rng: random.Random) -> str:
     circuit = parse(text)
     live = {label for key, _ in circuit.source.terms() for label in key}
     for stage in circuit.stages:
-        live = (live - set(stage.inputs())) | set(stage.outputs())
+        live = (live - set(stage.inputs)) | set(stage.outputs)
     discard, detect = [], []
     for arm in Arm:
         labels = sorted((label for label in live if label.arm is arm), key=str)

@@ -122,7 +122,7 @@ def test_run_postselects_once_and_carries_no_discarded_term_past_the_boundary(mo
     for text in (full_text, LADDER):
         circuit = parse(text)
         cut = max(index for index, stage in enumerate(circuit.stages, start=1)
-                  if set(stage.outputs()) & circuit.discard)
+                  if set(stage.outputs) & circuit.discard)
         after = {id(stage.transform()) for stage in circuit.stages[cut:]}
         assert after
         calls, carried = Counter(), []
