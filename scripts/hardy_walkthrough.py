@@ -12,7 +12,6 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from hardysim import circuitdsl, engine, montecarlo, paradox
-from hardysim.optics import apply_transform
 from hardysim.paradox import RuleSet
 
 CIRCUITS = pathlib.Path(__file__).resolve().parent.parent / "circuits"
@@ -27,20 +26,19 @@ def show(title: str, state):
 def main() -> int:
     circuit = circuitdsl.parse((CIRCUITS / "hardy_full.circ").read_text())
 
-    state = circuit.source
-    show("Source (both photons exit together through a or b):", state)
+    show("Source (both photons exit together through a or b):", circuit.source)
 
-    state = apply_transform(state, circuit.stages[0].transform())
-    state = apply_transform(state, circuit.stages[1].transform())
-    show("After the three-way splitters (u+u- and g+g- already cancelled):", state)
+    # The boundary falls after the last stage that emits into the discard set.
+    root, weight, rest = engine.boundary(circuit)
+    cut = len(circuit.stages) - len(rest)
+    show("After the three-way splitters (u+u- and g+g- already cancelled):",
+         engine.evolve(circuit.source, circuit.stages[:cut]))
 
-    state, weight = engine.postselect(state, circuit.discard)
     print(f"\nPost-selection on g/f keeps weight {weight} of all runs.")
-    state = engine.renormalize(state)
+    state = engine.renormalize(root)
     show("Surviving state, renormalised — note: no u+u- term at all:", state)
 
-    state = apply_transform(state, circuit.stages[2].transform())
-    state = apply_transform(state, circuit.stages[3].transform())
+    state = engine.evolve(state, rest)
     show("After the balanced recombiners in front of the detectors:", state)
 
     table = engine.probabilities(state, kept_weight=weight)

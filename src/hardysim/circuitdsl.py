@@ -24,8 +24,10 @@ Each ``stage`` line becomes one :class:`Stage` record: its arm, its parameter
 (the transmissivity, the quarter turns or the preset name), and the labels it
 consumes and produces.  The kind classes ``BeamSplitterStage``, ``PhaseStage``
 and ``PresetStage`` add only how to build the exact transform and how to
-render the line.  A splitter's transform is built while parsing, to diagnose
-``unsupported-radical``; a phase's or a preset's on first use.
+render the line.  Parsing builds no transform: every stage builds and
+verifies its transform once, the first time the pipeline asks.  A splitter's
+``unsupported-radical`` needs only sqrt(t) and sqrt(1-t), which
+:func:`hardysim.optics.splitter_amplitudes` computes once per distinct ``t``.
 
 Every diagnostic is a :class:`CircuitError` carrying a 1-based line and
 column plus a stable kebab-case code:
@@ -43,7 +45,7 @@ from typing import NamedTuple
 
 from . import optics
 from .amplitude import AmplitudeParseError, UnsupportedRadical, parse_amplitude
-from .state import Arm, ModeLabel, TwoPhotonState
+from .state import NAME_PATTERN, NAME_RE, Arm, ModeLabel, TwoPhotonState
 
 
 class CircuitError(Exception):
@@ -62,10 +64,11 @@ class Stage(NamedTuple):
     parameter its kind reads (a splitter's transmissivity, a phase's quarter turns,
     a preset's name).
 
-    The kind subclasses below define only ``_build`` and ``render``.  ``transform``
-    builds the verified transform on its first call and keeps it on the record,
-    outside the tuple of fields, so equality, hashing and repr ignore it.
-    ``perfbench/spans.py`` wraps ``transform`` on each kind class by name.
+    The kind subclasses below define only ``_build`` and ``render``.  The parser
+    builds no transform; ``transform`` builds and verifies it on its first call,
+    for every kind alike, and keeps it on the record, outside the tuple of
+    fields, so equality, hashing and repr ignore it.  ``perfbench/spans.py``
+    wraps ``transform`` on each kind class by name.
     """
 
     arm: Arm
@@ -126,11 +129,8 @@ class Circuit(NamedTuple):
         return tuple(sorted((d for d in self.detectors if d.arm is arm), key=str))
 
 
-_ARMED_RE = re.compile(r"([a-z][a-z0-9_]*)([+-])\Z")
-_BARE_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-_PAIR_RE = re.compile(
-    r"\s*\(\s*([a-z][a-z0-9_]*[+-])\s*,\s*([a-z][a-z0-9_]*[+-])\s*\)"
-)
+_ARMED_RE = re.compile(rf"({NAME_PATTERN})([+-])\Z")
+_PAIR_RE = re.compile(rf"\s*\(\s*({NAME_PATTERN}[+-])\s*,\s*({NAME_PATTERN}[+-])\s*\)")
 _FRACTION_RE = re.compile(r"([+-]?\d+)/(\d+)\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 
@@ -153,6 +153,10 @@ class _Parser:
         self.detectors: list[ModeLabel] = []
         self.produced: set[ModeLabel] = set()
         self.consumed: set[ModeLabel] = set()
+        # Splitter amplitudes by transmissivity.  Each ``t`` is checked once per
+        # parse, so the check adds one computation per distinct ``t`` to the
+        # work that building the splitters on first use does anyway.
+        self.amplitudes: dict[Fraction, tuple] = {}
 
     @staticmethod
     def _err(line: int, col: int, code: str, message: str) -> "CircuitError":
@@ -201,7 +205,7 @@ class _Parser:
             self._err(lineno, _end(tokens), "syntax", "expected: modes <+|-> <name>...")
         arm = self._arm(tokens[1], lineno)
         for name, col in tokens[2:]:
-            if not _BARE_RE.match(name):
+            if not NAME_RE.match(name):
                 self._err(lineno, col, "syntax", f"bad mode name {name!r}")
             if name in self.declared[arm]:
                 self._err(lineno, col, "duplicate-mode", f"{name}{arm} declared twice")
@@ -294,7 +298,7 @@ class _Parser:
             if arm_hint is not None and label.arm is not arm_hint:
                 self._err(lineno, col, "arm-mismatch",
                           f"{token} conflicts with the stage arm {arm_hint}")
-        elif _BARE_RE.match(token):
+        elif NAME_RE.match(token):
             if arm_hint is None:
                 if (token not in self.declared[Arm.PLUS]
                         and token not in self.declared[Arm.MINUS]):
@@ -364,11 +368,11 @@ class _Parser:
         for label, col in outs:
             self._produce(label, lineno, col)
         try:
-            stage = BeamSplitterStage(stage_arm, t, (ins[0][0], ins[1][0]), (outs[0][0], outs[1][0]))
-            stage.transform()
+            if t not in self.amplitudes:
+                self.amplitudes[t] = optics.splitter_amplitudes(t)
         except UnsupportedRadical as exc:
             self._err(lineno, t_col, "unsupported-radical", str(exc))
-        self.stages.append(stage)
+        self.stages.append(BeamSplitterStage(stage_arm, t, (ins[0][0], ins[1][0]), (outs[0][0], outs[1][0])))
 
     def _parse_phase(self, tokens, lineno: int):
         if len(tokens) != 4:

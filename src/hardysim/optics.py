@@ -69,6 +69,16 @@ class ModeTransform(_Transform):
         return super().__new__(cls, arm, columns)
 
 
+def splitter_amplitudes(t: Fraction) -> tuple[RadicalComplex, RadicalComplex]:
+    """A splitter's transmitted amplitude sqrt(t) and reflected amplitude i*sqrt(1-t).
+
+    Raises UnsupportedRadical, naming the radicand, when either leaves the
+    radical basis; the parser calls it to diagnose a transmissivity without
+    building the splitter.
+    """
+    return sqrt_rational(t), I * sqrt_rational(1 - t)
+
+
 def beamsplitter(t, in1: ModeLabel, in2: ModeLabel, out1: ModeLabel, out2: ModeLabel) -> ModeTransform:
     """Two-mode splitter: transmitted amplitude sqrt(t), reflected i*sqrt(1-t).
 
@@ -86,8 +96,7 @@ def beamsplitter(t, in1: ModeLabel, in2: ModeLabel, out1: ModeLabel, out2: ModeL
             raise ArmMismatch(f"{lbl} is not on arm {arm}")
     if in1 == in2 or out1 == out2:
         raise ValueError("beam splitter modes must be distinct")
-    transmitted = sqrt_rational(t)
-    reflected = I * sqrt_rational(1 - t)
+    transmitted, reflected = splitter_amplitudes(t)
     return ModeTransform(
         arm,
         {

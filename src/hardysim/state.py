@@ -9,7 +9,9 @@ from typing import Iterable, Mapping, NamedTuple, Tuple
 
 from .amplitude import RadicalComplex, ZERO, rational
 
-_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+# The mode-name grammar; the circuit parser builds its token patterns from it.
+NAME_PATTERN = r"[a-z][a-z0-9_]*"
+NAME_RE = re.compile(NAME_PATTERN + r"\Z")
 
 
 class Arm(enum.Enum):
@@ -42,7 +44,7 @@ class ModeLabel(_Label):
     __slots__ = ()
 
     def __new__(cls, name: str, arm: Arm):
-        if not _NAME_RE.match(name):
+        if not NAME_RE.match(name):
             raise ValueError(f"bad mode name {name!r}")
         return super().__new__(cls, name, arm)
 

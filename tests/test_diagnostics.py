@@ -9,11 +9,14 @@ value it parses to.
 import ast
 import pathlib
 import re
+from fractions import Fraction
 
 import pytest
 
-from hardysim.amplitude import AmplitudeParseError, parse_amplitude
+from hardysim import optics
+from hardysim.amplitude import AmplitudeParseError, UnsupportedRadical, parse_amplitude
 from hardysim.circuitdsl import CircuitError, parse
+from hardysim.state import plus
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -64,6 +67,15 @@ PINS = [
      ("syntax", 4, 17, "bs needs exactly two inputs, got 1")),
     (parse, HEAD + "stage bs 1/2 u+ v+ -> c+\n",
      ("syntax", 4, 25, "bs needs exactly two outputs, got 1")),
+    # unsupported-radical: sqrt(t) is checked before sqrt(1-t), and only once the
+    # labels are live
+    (parse, HEAD + "stage bs 1/5 u+ v+ -> c+ d+\n",
+     ("unsupported-radical", 4, 10, "sqrt(1/5) needs sqrt(5), outside the basis")),
+    (parse, HEAD + "stage bs 4/9 u+ v+ -> c+ d+\n",
+     ("unsupported-radical", 4, 10, "sqrt(5/9) needs sqrt(5), outside the basis")),
+    (parse, HEAD + "stage bs 4/9 u v -> c d +\n",
+     ("unsupported-radical", 4, 10, "sqrt(5/9) needs sqrt(5), outside the basis")),
+    (parse, HEAD + "stage bs 1/5 c+ d+ -> w+ x+\n", ("dead-mode", 4, 14, "c+ has not been produced yet")),
     # stage phase
     (parse, HEAD + "stage phase 1\n", ("syntax", 4, 14, "expected: stage phase <k> <mode>")),
     (parse, HEAD + "stage phase 1 u+ v+\n", ("syntax", 4, 20, "expected: stage phase <k> <mode>")),
@@ -114,6 +126,24 @@ PINS = [
 @pytest.mark.parametrize("parser, text, expected", PINS)
 def test_diagnostic(parser, text, expected):
     assert outcome(parser, text) == expected
+
+
+def test_unsupported_radical_agrees_with_building_the_splitter():
+    """The parser reports ``unsupported-radical`` for t = p/q exactly when
+    ``optics.beamsplitter`` refuses t, with the same message."""
+    labels = [plus(name) for name in ("u", "v", "c", "d")]
+    refused = 0
+    for q in range(2, 25):
+        for p in range(1, q):
+            text = HEAD + f"stage bs {p}/{q} u+ v+ -> c+ d+\n"
+            try:
+                built = optics.beamsplitter(Fraction(p, q), *labels)
+            except UnsupportedRadical as exc:
+                refused += 1
+                assert outcome(parse, text) == ("unsupported-radical", 4, 10, str(exc))
+            else:
+                assert parse(text).stages[0].transform() == built
+    assert 0 < refused < 276
 
 
 def test_error_code_lists_match_the_parser():

@@ -1,20 +1,23 @@
 """How much work a parse and a paradox audit do, counted at the layer boundaries.
 
-A stage builds its transform at most once and keeps it; the audit folds
-each stage into the state once per evolution it needs, evolves a
-single-sided state only for the local rules, never re-runs the whole
-pipeline through ``engine.run``, and computes each single-sided conditional
-at most once per root label.  A route's verdict reads only its
+Parsing builds no transform: every stage, of every kind, builds and
+verifies its transform once, the first time the pipeline asks, and keeps
+it.  The audit folds each stage into the state once per evolution it
+needs, evolves a single-sided state only for the local rules, never re-runs
+the whole pipeline through ``engine.run``, and computes each single-sided
+conditional at most once per root label.  A route's verdict reads only its
 root pair and exit pair, so the report judges each such class once, not
 each route.  ``engine.run`` post-selects once, at the boundary, so no stage
 after it carries a discarded term.
 """
 
+import importlib.util
+import sys
 from collections import Counter
 
 from conftest import CIRCUITS
 from hardysim import engine, optics
-from hardysim.circuitdsl import parse
+from hardysim.circuitdsl import BeamSplitterStage, PhaseStage, PresetStage, Stage, parse
 from hardysim.paradox import RuleSet, build_graph, enumerate_assignments, paradox_report
 from hardysim.state import TwoPhotonState
 
@@ -51,18 +54,65 @@ def _count_calls(monkeypatch, module, name, counter, key=None):
     monkeypatch.setattr(module, name, counting)
 
 
-def test_each_stage_transform_is_built_once_and_the_audit_never_reruns(monkeypatch):
-    built, runs, given = Counter(), Counter(), Counter()
+def _perfbench_ladder(monkeypatch, *shape) -> str:
+    """The text of ``perfbench/ladder.py``'s ladder of this shape, loaded
+    without writing bytecode into the benchmark's tree."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_ladder", CIRCUITS.parent / "perfbench" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    # Its dataclass needs the module registered while it runs.
+    monkeypatch.setitem(sys.modules, spec.name, ladder)
+    spec.loader.exec_module(ladder)
+    return ladder.generate(*shape).text()
+
+
+def _count_builds(monkeypatch):
+    """Counters of the builders' calls by name, of ``Stage.transform`` calls, and
+    of ``_build`` calls per stage object."""
+    built, asked, per_stage = Counter(), Counter(), Counter()
     for name in ("beamsplitter", "phase_shift", "preset"):
         _count_calls(monkeypatch, optics, name, built)
+    _count_calls(monkeypatch, Stage, "transform", asked)
+    for kind in (BeamSplitterStage, PhaseStage, PresetStage):
+        _count_calls(monkeypatch, kind, "_build", per_stage, key=id)
+    return built, asked, per_stage
+
+
+def test_parsing_builds_no_transform(monkeypatch):
+    built, asked, per_stage = _count_builds(monkeypatch)
+    checked = Counter()
+    _count_calls(monkeypatch, optics, "splitter_amplitudes", checked)
+    # 8 x 12, post-selected and unbalanced: 1/3 and 2/3 splitters and phases.
+    ladder_text = _perfbench_ladder(monkeypatch, 8, 12, True, False, "work-counts")
+    full_text = (CIRCUITS / "hardy_full.circ").read_text(encoding="utf-8")
+    for text in (full_text, LADDER, ladder_text):
+        checked.clear()
+        circuit = parse(text)
+        assert not built and not asked and not per_stage
+        # The radical check runs once per distinct transmissivity, not per splitter.
+        splitters = [s for s in circuit.stages if isinstance(s, BeamSplitterStage)]
+        assert checked["splitter_amplitudes"] == len({s.param for s in splitters})
+    assert len(circuit.stages) > 100
+    # Asked twice, each stage builds once.
+    for stage in circuit.stages + circuit.stages:
+        stage.transform()
+    assert sum(built.values()) == len(circuit.stages) == len(per_stage)
+    assert set(per_stage.values()) == {1}
+
+
+def test_each_stage_transform_is_built_once_and_the_audit_never_reruns(monkeypatch):
+    built, _, per_stage = _count_builds(monkeypatch)
+    runs, given = Counter(), Counter()
     _count_calls(monkeypatch, engine, "run", runs)
     _count_calls(monkeypatch, engine, "conditional", given, key=lambda state, label: label)
     full_text = (CIRCUITS / "hardy_full.circ").read_text(encoding="utf-8")
     for text, kinds in ((full_text, {"preset": 4}),
                         (LADDER, {"beamsplitter": 8, "phase_shift": 2})):
         built.clear()
+        per_stage.clear()
         circuit = parse(text)
-        assert built["beamsplitter"] == kinds.get("beamsplitter", 0)
+        assert not built
         graph = build_graph(circuit)
         roots = {label for pair in graph.joint_roots for label in pair}
         for rules in RuleSet:
@@ -77,6 +127,8 @@ def test_each_stage_transform_is_built_once_and_the_audit_never_reruns(monkeypat
                 assert not given
         assert built == Counter(kinds)
         assert sum(built.values()) == len(circuit.stages)
+        assert set(per_stage) == {id(stage) for stage in circuit.stages}
+        assert set(per_stage.values()) == {1}
     assert runs["run"] == 0
 
 
