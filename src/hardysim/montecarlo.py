@@ -20,14 +20,15 @@ agree with.
 
 ``chi_square_test`` compares observed counts against the exact expected
 counts.  The statistic is accumulated as a ``Fraction`` and only converted
-to float at the end; it is judged against stored critical values for 1 to 8
-degrees of freedom at the 95% and 99% levels.  A table of ten or more
-rows, as most (not all) width-4 ladders give, raises
-:class:`DegreesOfFreedomOutOfRange`.
+to float at the end.  One rule judges it for every number of degrees of
+freedom: it passes at 95% when :func:`chi_square_tail`, the chance of a
+statistic at least as large, is at least 0.05, and at 99% when it is at
+least 0.01.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from bisect import bisect_right
 from collections import Counter
@@ -41,20 +42,6 @@ from .state import PairKey
 DEFAULT_SEED = 0x5EED
 
 _MASK64 = (1 << 64) - 1
-
-CRITICAL_95 = {
-    1: 3.841, 2: 5.991, 3: 7.815, 4: 9.488,
-    5: 11.070, 6: 12.592, 7: 14.067, 8: 15.507,
-}
-CRITICAL_99 = {
-    1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277,
-    5: 15.086, 6: 16.812, 7: 18.475, 8: 20.090,
-}
-
-
-class DegreesOfFreedomOutOfRange(ValueError):
-    """Raised when a table needs more degrees of freedom than the stored rows cover."""
-
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -105,13 +92,13 @@ def _thresholds(table: OutcomeTable) -> tuple[list[PairKey], list[int]]:
     keys, cuts = [], []
     cumulative = Fraction(0)
     total = table.total()
-    for (p, m), probability in table.sorted_rows():
+    for key, probability in table.sorted_rows():
         cumulative += probability / total
         scaled = cumulative * (1 << 53)
         threshold = scaled.numerator // scaled.denominator
         if scaled.numerator % scaled.denominator:
             threshold += 1
-        keys.append((p, m))
+        keys.append(key)
         cuts.append(threshold)
     cuts[-1] = 1 << 53
     return keys, cuts
@@ -163,6 +150,27 @@ def sample(table: OutcomeTable, n: int, seed: int) -> dict[PairKey, int]:
     return {key: hits[row] for row, key in enumerate(keys)}
 
 
+def chi_square_tail(statistic: float, df: int) -> float:
+    """The chance that a chi-square variable with ``df >= 1`` degrees of
+    freedom is at least ``statistic``: the regularised upper gamma
+    ``Q(df/2, h)`` with ``h = statistic/2``, in closed form.
+
+    ``Q(a, h) = Q(a - 1, h) + h**(a - 1) * exp(-h) / gamma(a)``, so the tail
+    is ``Q(1/2, h) = erfc(sqrt(h))`` for odd ``df`` (0 for even) plus one
+    term for each ``a`` from 3/2 (or 1) up to ``df/2``.  Each term is taken
+    through its logarithm, so no power of ``h`` overflows.
+    """
+    h = statistic / 2
+    if h <= 0:
+        return 1.0
+    log_h = math.log(h)
+    first, head = (1.5, math.erfc(math.sqrt(h))) if df % 2 else (1, 0.0)
+    return head + sum(
+        math.exp((a - 1) * log_h - h - math.lgamma(a))
+        for a in (first + i for i in range(df // 2))
+    )
+
+
 def chi_square_test(
     counts: Mapping[PairKey, int], table: OutcomeTable
 ) -> tuple[float, int, bool, bool]:
@@ -170,18 +178,14 @@ def chi_square_test(
 
     Returns ``(statistic, df, pass_95, pass_99)`` where ``df`` is one less
     than the number of table rows.  A zero-degree table passes trivially;
-    more than eight degrees of freedom raises
-    :class:`DegreesOfFreedomOutOfRange`.
+    any other passes at a level when :func:`chi_square_tail` of its
+    statistic is at least 0.05 (95%) or 0.01 (99%).
     """
     n = sum(counts.get(key, 0) for key, _ in table.sorted_rows())
     total = table.total()
     df = len(table.rows) - 1
     if df == 0:
         return 0.0, 0, True, True
-    if df > max(CRITICAL_95):
-        raise DegreesOfFreedomOutOfRange(
-            f"{df} degrees of freedom; critical values stored up to {max(CRITICAL_95)}"
-        )
     statistic = Fraction(0)
     for key, probability in table.sorted_rows():
         expected = n * probability / total
@@ -190,7 +194,8 @@ def chi_square_test(
         deviation = counts.get(key, 0) - expected
         statistic += deviation * deviation / expected
     value = float(statistic)
-    return value, df, value <= CRITICAL_95[df], value <= CRITICAL_99[df]
+    tail = chi_square_tail(value, df)
+    return value, df, tail >= 0.05, tail >= 0.01
 
 
 def run(table: OutcomeTable, n: int, seed: int = DEFAULT_SEED) -> RunRecord:

@@ -1,5 +1,5 @@
 """Seeded generators for property tests (random amplitudes, states, circuits),
-and lookups into a paradox report's rows.
+shared circuits, and lookups into a paradox report's rows.
 
 Circuits are generated as text so the property suites exercise the parser
 on every run.  The construction keeps track of which labels are live per
@@ -8,11 +8,16 @@ consume live labels and only produce fresh ones, staying within six mode
 names per arm.
 """
 
+import importlib.util
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 from hardysim.amplitude import RadicalComplex
 from hardysim.state import TwoPhotonState, minus, plus
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 MODE_POOL = ("m0", "m1", "m2", "m3", "m4", "m5")
 
@@ -20,6 +25,10 @@ MODE_POOL = ("m0", "m1", "m2", "m3", "m4", "m5")
 # supported radical basis.
 SPLIT_RATIOS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
                 Fraction(1, 4), Fraction(3, 4), Fraction(1, 9), Fraction(8, 9))
+
+# Sixteen equally likely outcomes: fifteen degrees of freedom.
+SIXTEEN_OUTCOMES = "modes + a b c d\nmodes - a b c d\nsource " + "; ".join(
+    f"({p}+,{m}-) (1/4)" for p in "abcd" for m in "abcd") + "\n"
 
 AMP_TEXTS = (
     "(1/1)",
@@ -113,6 +122,19 @@ def random_circuit_text(rng: random.Random) -> str:
         take_plus = plus_stages and (not minus_stages or rng.random() < 0.5)
         lines.append(plus_stages.pop(0) if take_plus else minus_stages.pop(0))
     return "\n".join(lines) + "\n"
+
+
+def perfbench_ladder(monkeypatch, *shape) -> str:
+    """The text of ``perfbench/ladder.py``'s ladder of this shape, loaded
+    without writing bytecode into the benchmark's tree."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_ladder", ROOT / "perfbench" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    # Its dataclass needs the module registered while it runs.
+    monkeypatch.setitem(sys.modules, spec.name, ladder)
+    spec.loader.exec_module(ladder)
+    return ladder.generate(*shape).text()
 
 
 def by_outcome(report, pair):

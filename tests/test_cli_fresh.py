@@ -4,7 +4,7 @@ In-process tests run after pytest has imported every hardysim module, so
 they cannot see a subcommand that forgets to import what it runs.  Here each
 command starts its own ``python -m hardysim``, and must print the bytes
 recorded in ``perfbench/expected/cli_shipped.json`` (only read) or the same
-``error: …`` line and exit code as ``cli.main`` gives in-process.
+output, ``error: …`` line and exit code as ``cli.main`` gives in-process.
 """
 
 import json
@@ -16,7 +16,9 @@ import sys
 
 import pytest
 
+import support
 from hardysim import cli
+from hardysim.montecarlo import chi_square_tail
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RECORDED = json.loads(
@@ -58,10 +60,6 @@ stage bs 1/3 a- b- -> c- d-
 detect c+ d+ c- d-
 """
 
-# Sixteen equally likely outcomes: fifteen degrees of freedom.
-SIXTEEN_OUTCOMES = "modes + a b c d\nmodes - a b c d\nsource " + "; ".join(
-    f"({p}+,{m}-) (1/4)" for p in "abcd" for m in "abcd") + "\n"
-
 NO_DETECTORS = "modes + a\nmodes - a\nsource (a+,a-) 1\n"
 
 # A 1/3 splitter sends weight 1/2 - sqrt(2)/3 to the kept c+: the kept
@@ -91,7 +89,6 @@ NOT_RATIONAL = "(c+,c-) has Born weight (17/36) - (1/3)*sqrt(2), which is not a 
     (UNBALANCED_LADDER, ["sample", "--n", "10"], NOT_RATIONAL),
     (UNBALANCED_LADDER, ["paradox"], NOT_RATIONAL),
     (UNBALANCED_LADDER, ["paradox", "--rules", "contextual", "--format", "json"], NOT_RATIONAL),
-    (SIXTEEN_OUTCOMES, ["sample", "--format", "json"], "15 degrees of freedom"),
     (NO_DETECTORS, ["paradox"], "requires detectors on both arms"),
     (IRRATIONAL_KEPT, ["probs"], KEPT_NOT_RATIONAL),
     (IRRATIONAL_KEPT, ["evolve", "--format", "csv"], KEPT_NOT_RATIONAL),
@@ -111,3 +108,47 @@ def test_fresh_process_error_paths_match_in_process(text, argv, message, tmp_pat
 def test_not_rational_line_keeps_the_pattern_the_benchmark_counts():
     for message in (NOT_RATIONAL, KEPT_NOT_RATIONAL, SOURCE_NOT_RATIONAL):
         assert re.match(r"error: .* is not a plain rational\n\Z", "error: " + message)
+
+
+# The verdict line of each format; every table, however wide, gets one.
+VERDICT = {
+    "table": r"chi_square (\S+) df (\d+) pass_95 (\w+) pass_99 (\w+)$",
+    "csv": r"# seed=\d+ n=\d+ chi_square=(\S+) df=(\d+) pass_95=(\w+) pass_99=(\w+)$",
+    "json": r'"chi_square": (\S+),\s+"df": (\d+),\s+"pass_95": (\w+),\s+"pass_99": (\w+)',
+}
+
+
+def sample_verdict(out, fmt):
+    """``(df, pass_95, pass_99)`` as printed, checked against the tail of the
+    printed statistic."""
+    statistic, df, *flags = re.search(VERDICT[fmt], out, re.M).groups()
+    tail = chi_square_tail(float(statistic), int(df))
+    passes = [flag in ("True", "true") for flag in flags]
+    assert passes == [tail >= 0.05, tail >= 0.01]
+    return int(df), *passes
+
+
+@pytest.mark.parametrize("fmt", sorted(VERDICT))
+def test_sixteen_outcomes_sample_in_a_fresh_process(fmt, tmp_path, capsys):
+    path = tmp_path / "sixteen.circ"
+    path.write_text(support.SIXTEEN_OUTCOMES)
+    code = cli.main(["sample", "--format", fmt, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert sample_verdict(captured.out, fmt) == (15, True, True)
+    assert fresh("-m", "hardysim", "sample", "--format", fmt, str(path)) == (
+        0, captured.out, "")
+
+
+def test_sample_on_a_width_4_ladder(tmp_path, capsys, monkeypatch):
+    # sample-heavy's shapes: 12 to 16 outcomes, so 11 to 15 degrees of freedom.
+    path = tmp_path / "ladder.circ"
+    path.write_text(support.perfbench_ladder(monkeypatch, 4, 8, False, True, "cli-fresh"))
+    argv = ["sample", "--n", "50000", str(path)]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    rows = out.splitlines()[:-1]
+    assert err == "" and 12 <= len(rows) <= 16
+    assert sum(int(row.split()[1]) for row in rows) == 50000
+    assert sample_verdict(out, "table")[0] == len(rows) - 1
+    assert fresh("-m", "hardysim", *argv) == (0, out, "")

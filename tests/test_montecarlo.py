@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from hardysim import engine, montecarlo
 from hardysim.montecarlo import (
-    CRITICAL_95,
-    CRITICAL_99,
     DEFAULT_SEED,
-    DegreesOfFreedomOutOfRange,
     SplitMix64,
+    chi_square_tail,
     chi_square_test,
     sample,
 )
@@ -242,29 +240,103 @@ def test_chi_square_single_row_is_trivial():
     assert chi_square_test({(plus("c"), minus("c")): 7}, table) == (0.0, 0, True, True)
 
 
-def test_chi_square_rejects_wide_tables():
+def oracle_tail(statistic, df):
+    """1 - P(df/2, statistic/2), with the regularised lower gamma from its
+    power series P(a, x) = sum_n x**(a+n) e**-x / gamma(a+n+1).  Each term
+    is carried as a logarithm, so no term over- or underflows on the way."""
+    a, x = df / 2, statistic / 2
+    if x == 0:
+        return 1.0
+    log_term, n, terms = a * math.log(x) - x - math.lgamma(a + 1), 0, []
+    while True:
+        terms.append(math.exp(log_term))
+        n += 1
+        ratio = x / (a + n)
+        # Past the peak the terms fall at least geometrically by ``ratio``.
+        if ratio < 1 and terms[-1] * ratio / (1 - ratio) < 1e-18:
+            return 1 - math.fsum(terms)
+        log_term += math.log(ratio)
+
+
+TAIL_GRID = (0.01, 0.5, 1, 2, 3.5, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377)
+
+
+def test_chi_square_tail_matches_the_series_oracle():
+    for df in range(1, 201):
+        for statistic in (*TAIL_GRID, *(df * f for f in (0.5, 0.8, 1, 1.2, 1.5, 2, 3))):
+            assert chi_square_tail(statistic, df) == pytest.approx(
+                oracle_tail(statistic, df), rel=0, abs=1e-12), (statistic, df)
+
+
+# The critical values the rule replaced, for 1 to 8 degrees of freedom.
+OLD_CRITICAL = {
+    0.05: (3.841, 5.991, 7.815, 9.488, 11.070, 12.592, 14.067, 15.507),
+    0.01: (6.635, 9.210, 11.345, 13.277, 15.086, 16.812, 18.475, 20.090),
+}
+# Published quantiles to six decimals: (df, 95% point, 99% point).
+TEXTBOOK = (
+    (10, 18.307038, 23.209251),
+    (15, 24.995790, 30.577914),
+    (30, 43.772972, 50.892181),
+    (100, 124.342113, 135.806723),
+)
+
+
+@pytest.mark.parametrize("level", sorted(OLD_CRITICAL))
+def test_old_critical_values_are_the_exact_quantiles_to_three_decimals(level):
+    # The quantile lies within half a unit of the third decimal of the
+    # stored value: the tail crosses the level between its two neighbours.
+    for df, value in enumerate(OLD_CRITICAL[level], start=1):
+        assert chi_square_tail(value - 0.0005, df) > level > chi_square_tail(value + 0.0005, df)
+
+
+def test_textbook_quantiles():
+    for df, q95, q99 in TEXTBOOK:
+        assert abs(chi_square_tail(q95, df) - 0.05) < 1e-8
+        assert abs(chi_square_tail(q99, df) - 0.01) < 1e-8
+
+
+def test_chi_square_tail_edges():
+    assert all(chi_square_tail(0, df) == 1.0 for df in (1, 2, 15, 4001))
+    assert chi_square_tail(5000, 3) == 0.0
+    # 2000 terms whose powers of h = 2000 would overflow outside logarithms.
+    wide = chi_square_tail(4000, 4001)
+    assert wide == pytest.approx(oracle_tail(4000, 4001), abs=1e-9)
+    assert 0.50 < wide < 0.51
+
+
+def test_chi_square_judges_wide_tables():
     rows = {("c", f"m{i}"): Fraction(1, 10) for i in range(10)}
     table = table_of(rows)
     counts = {key: 10 for key in table.rows}
-    with pytest.raises(DegreesOfFreedomOutOfRange):
-        chi_square_test(counts, table)
+    assert chi_square_test(counts, table) == (0.0, 9, True, True)
+    counts[(plus("c"), minus("m0"))] = 40
+    statistic, df, pass_95, pass_99 = chi_square_test(counts, table)
+    # 130 draws, 13 expected per row: (40 - 13)**2/13 + 9 * (10 - 13)**2/13
+    assert (statistic, df) == (810 / 13, 9)
+    assert not pass_95 and not pass_99
 
 
-def test_critical_value_tables():
-    assert set(CRITICAL_95) == set(CRITICAL_99) == set(range(1, 9))
-    assert CRITICAL_95[3] == 7.815
-    assert CRITICAL_99[3] == 11.345
-    assert all(CRITICAL_95[df] < CRITICAL_99[df] for df in CRITICAL_95)
+HALVES = table_of({("c", "c"): Fraction(1, 2), ("c", "d"): Fraction(1, 2)})
 
 
-def test_statistic_at_critical_value_passes():
-    table = table_of({("c", "c"): Fraction(1, 2), ("c", "d"): Fraction(1, 2)})
-    # counts chosen so the statistic lands exactly on 3.841: impossible with
-    # integers, so check the comparison is <= via a tiny helper table instead.
-    statistic, df, pass_95, _ = chi_square_test(
-        {(plus("c"), minus("c")): 50, (plus("c"), minus("d")): 50}, table
-    )
-    assert statistic == 0.0 and df == 1 and pass_95
+@pytest.mark.parametrize("cc, cd, passes", [
+    # A perfect fit: the statistic is 0 and its tail is 1.
+    (50, 50, (True, True)),
+    # 242/63 = 3.84127 lies between the old 3.841 and the exact 95% point
+    # 3.841459, so it now passes where the table failed it; 3.841537 fails.
+    (74, 52, (True, True)),
+    (873, 793, (False, True)),
+    # 6.634907 lies between the exact 99% point 6.634897 and the old 6.635,
+    # so it now fails where the table passed it; 6.634895 passes.
+    (1888, 1733, (False, False)),
+    (984, 873, (False, True)),
+])
+def test_verdicts_beside_the_exact_quantiles(cc, cd, passes):
+    statistic, df, *verdicts = chi_square_test(
+        {(plus("c"), minus("c")): cc, (plus("c"), minus("d")): cd}, HALVES)
+    assert df == 1 and statistic == (cc - cd) ** 2 / (cc + cd)
+    assert tuple(verdicts) == passes
 
 
 # --------------------------------------------------------------- run records

@@ -11,10 +11,9 @@ each route.  ``engine.run`` post-selects once, at the boundary, so no stage
 after it carries a discarded term.
 """
 
-import importlib.util
-import sys
 from collections import Counter
 
+import support
 from conftest import CIRCUITS
 from hardysim import engine, optics
 from hardysim.circuitdsl import BeamSplitterStage, PhaseStage, PresetStage, Stage, parse
@@ -54,19 +53,6 @@ def _count_calls(monkeypatch, module, name, counter, key=None):
     monkeypatch.setattr(module, name, counting)
 
 
-def _perfbench_ladder(monkeypatch, *shape) -> str:
-    """The text of ``perfbench/ladder.py``'s ladder of this shape, loaded
-    without writing bytecode into the benchmark's tree."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_ladder", CIRCUITS.parent / "perfbench" / "ladder.py")
-    ladder = importlib.util.module_from_spec(spec)
-    # Its dataclass needs the module registered while it runs.
-    monkeypatch.setitem(sys.modules, spec.name, ladder)
-    spec.loader.exec_module(ladder)
-    return ladder.generate(*shape).text()
-
-
 def _count_builds(monkeypatch):
     """Counters of the builders' calls by name, of ``Stage.transform`` calls, and
     of ``_build`` calls per stage object."""
@@ -84,7 +70,7 @@ def test_parsing_builds_no_transform(monkeypatch):
     checked = Counter()
     _count_calls(monkeypatch, optics, "splitter_amplitudes", checked)
     # 8 x 12, post-selected and unbalanced: 1/3 and 2/3 splitters and phases.
-    ladder_text = _perfbench_ladder(monkeypatch, 8, 12, True, False, "work-counts")
+    ladder_text = support.perfbench_ladder(monkeypatch, 8, 12, True, False, "work-counts")
     full_text = (CIRCUITS / "hardy_full.circ").read_text(encoding="utf-8")
     for text in (full_text, LADDER, ladder_text):
         checked.clear()
