@@ -18,7 +18,6 @@ divides; a syntax error carries its 0-based offset into the text.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from typing import Sequence
@@ -37,8 +36,6 @@ _MUL_TABLE = {
     (2, 2): (3, 0), (2, 3): (3, 1),
     (3, 3): (6, 0),
 }
-
-_SQRT_FLOAT = {k: math.sqrt(k) for k in RADICANDS}
 
 
 class NotRational(ArithmeticError):
@@ -208,12 +205,6 @@ class RadicalComplex:
             raise UnsupportedRadical(f"sqrt of non-positive {q} is outside the basis")
         return self * sqrt_rational(1 / q)
 
-    def to_complex(self) -> complex:
-        """Floating-point evaluation, correctly rounded coefficients (for oracles/display)."""
-        re = sum(float(c) * _SQRT_FLOAT[k] for c, k in zip(self._re, RADICANDS))
-        im = sum(float(c) * _SQRT_FLOAT[k] for c, k in zip(self._im, RADICANDS))
-        return complex(re, im)
-
     def __str__(self) -> str:
         parts = []
         for imag, vec in ((False, self._re), (True, self._im)):
@@ -320,7 +311,11 @@ def _factor(value: RadicalComplex | None, op: str, token) -> RadicalComplex:
         factor = I
     else:
         numbers = _NUMBER_RE.findall(text) + ["1"]  # an integer or sqrt(n) has denominator 1
-        num, den = int(numbers[0]), int(numbers[1])
+        try:
+            num, den = int(numbers[0]), int(numbers[1])
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits())
+            digits = max(len(number.lstrip("+-")) for number in numbers)
+            raise AmplitudeParseError(f"integer literal of {digits} digits is too long", pos) from None
         if den == 0:
             raise AmplitudeParseError("zero denominator under sqrt" if kind == "sqrt"
                                       else "zero denominator", pos)

@@ -29,12 +29,16 @@ verifies its transform once, the first time the pipeline asks.  A splitter's
 ``unsupported-radical`` needs only sqrt(t) and sqrt(1-t), which
 :func:`hardysim.optics.splitter_amplitudes` computes once per distinct ``t``.
 
+An integer literal longer than ``int()`` converts (4300 digits by default)
+is a ``syntax`` diagnostic at its token, and a source whose terms sum to
+zero is a ``zero-source`` diagnostic at its ``source`` keyword.
+
 Every diagnostic is a :class:`CircuitError` carrying a 1-based line and
 column plus a stable kebab-case code:
 
     syntax, undeclared-mode, dead-mode, double-consume, double-produce,
     duplicate-mode, arm-mismatch, bad-transmissivity, unsupported-radical,
-    unknown-preset, discard-detect-overlap
+    unknown-preset, discard-detect-overlap, zero-source
 """
 
 from __future__ import annotations
@@ -120,10 +124,6 @@ class Circuit(NamedTuple):
     stages: tuple[Stage, ...]
     discard: frozenset[ModeLabel]
     detectors: frozenset[ModeLabel]
-
-    def declared(self, label: ModeLabel) -> bool:
-        names = self.plus_modes if label.arm is Arm.PLUS else self.minus_modes
-        return label.name in names
 
     def detectors_on(self, arm: Arm) -> tuple[ModeLabel, ...]:
         return tuple(sorted((d for d in self.detectors if d.arm is arm), key=str))
@@ -217,6 +217,15 @@ class _Parser:
             self._err(lineno, arm_col, "syntax", f"expected + or -, got {arm_tok!r}")
         return Arm(arm_tok)
 
+    def _int(self, token: str, lineno: int, col: int) -> int:
+        """A token of digits as an int, or a ``syntax`` diagnostic at ``col`` when it
+        has more digits than ``int()`` converts (``sys.get_int_max_str_digits()``)."""
+        try:
+            return int(token)
+        except ValueError:
+            self._err(lineno, col, "syntax",
+                      f"integer literal of {len(token.lstrip('+-'))} digits is too long")
+
     def _check_declared(self, label: ModeLabel, lineno: int, col: int):
         if label.name not in self.declared[label.arm]:
             self._err(lineno, col, "undeclared-mode", str(label))
@@ -272,6 +281,8 @@ class _Parser:
             entries.append(((labels[0], labels[1]), amp))
             self.produced.update(labels)
         self.source = TwoPhotonState(entries)
+        if self.source.is_zero:
+            self._err(lineno, tokens[0][1], "zero-source", "the source terms sum to zero")
 
     # -- stages -------------------------------------------------------------
 
@@ -335,9 +346,10 @@ class _Parser:
         m = _FRACTION_RE.match(t_tok)
         if m is None:
             self._err(lineno, t_col, "syntax", f"expected a transmissivity like 1/3, got {t_tok!r}")
-        if int(m.group(2)) == 0:
+        num, den = (self._int(group, lineno, t_col) for group in m.groups())
+        if den == 0:
             self._err(lineno, t_col, "syntax", "zero denominator in transmissivity")
-        t = Fraction(int(m.group(1)), int(m.group(2)))
+        t = Fraction(num, den)
         if not 0 < t < 1:
             self._err(lineno, t_col, "bad-transmissivity", f"{t_tok} is outside (0,1)")
         rest = tokens[3:]
@@ -380,9 +392,10 @@ class _Parser:
         k_tok, k_col = tokens[2]
         if not _INT_RE.match(k_tok):
             self._err(lineno, k_col, "syntax", f"expected an integer quarter-turn count, got {k_tok!r}")
+        quarter_turns = self._int(k_tok, lineno, k_col) % 4
         label, col = self._armed(tokens[3], lineno, "g+")
         self._check_live(label, lineno, col)  # in place: neither consumed nor produced
-        self.stages.append(PhaseStage(label.arm, int(k_tok) % 4, (label,), (label,)))
+        self.stages.append(PhaseStage(label.arm, quarter_turns, (label,), (label,)))
 
     def _parse_preset(self, tokens, lineno: int):
         name, name_col = tokens[1]

@@ -15,8 +15,8 @@ every lane at once as big-integer shift, xor and multiply steps, masked so
 that no bit crosses from one lane's draw into another's.  The draws are
 read out of the integer's bytes and each is mapped to its row by
 ``bisect_right`` over the thresholds, so no Python bytecode runs per draw.
-:class:`SplitMix64` is the plain per-draw generator the block kernel must
-agree with.
+The plain per-draw generator that the block kernel must agree with lives
+in the tests, as ``SplitMix64`` in ``tests/splitmix64_reference.py``.
 
 ``chi_square_test`` compares observed counts against the exact expected
 counts.  The statistic is accumulated as a ``Fraction`` and only converted
@@ -55,25 +55,6 @@ _BLOCK = 1024
 # Position of a lane's low 64-bit word among the two native-order words the
 # lane fills in ``int.to_bytes(..., sys.byteorder)``.
 _LOW_WORD = 1 if sys.byteorder == "big" else 0
-
-
-class SplitMix64:
-    """SplitMix64 with the reference constants: the per-draw reference that
-    ``sample``'s block generator reproduces."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = z = (self._state + _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_u53(self) -> int:
-        return self.next_u64() >> 11
 
 
 class RunRecord(NamedTuple):

@@ -6,7 +6,11 @@ two implementations can only agree by computing the same physics.  A
 two-photon state is an 8x8 complex matrix over the per-arm mode order
 below; a stage acting on the plus arm multiplies on the left, one acting
 on the minus arm multiplies by the transpose on the right.
+:func:`to_complex` reads an exact amplitude as a float from its public
+coefficients, so the tests can hold it against these matrices.
 """
+
+import math
 
 import numpy as np
 
@@ -15,6 +19,17 @@ _IX = {name: index for index, name in enumerate(MODES)}
 
 _S3 = 1.0 / np.sqrt(3.0)
 _S2 = 1.0 / np.sqrt(2.0)
+
+
+# sqrt(1), sqrt(2), sqrt(3), sqrt(6): the basis of an exact amplitude's coefficients.
+_BASIS = tuple(math.sqrt(k) for k in (1, 2, 3, 6))
+
+
+def to_complex(value) -> complex:
+    """An exact amplitude as a float, read from its public ``real_coeffs`` and
+    ``imag_coeffs`` (the rational coefficients of 1, sqrt(2), sqrt(3), sqrt(6))."""
+    return complex(sum(float(c) * b for c, b in zip(value.real_coeffs, _BASIS)),
+                   sum(float(c) * b for c, b in zip(value.imag_coeffs, _BASIS)))
 
 
 def prep_matrix() -> np.ndarray:

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+import kernel_oracle
 from amplitude_reference import parse_amplitude_reference
+from kernel_oracle import same
 
 from hardysim.amplitude import (
     I,
@@ -48,6 +51,37 @@ pieces = st.one_of(
     st.sampled_from(("i", "+", "-", "*", "/", " ", "*i", "/i", "@", "(", ")", "x", "sqrt(", ".")),
 )
 amplitude_texts = st.lists(pieces, max_size=12).map("".join)
+
+# Well-formed amplitude text: every radicand has no prime factor but 2 and
+# 3, and no divisor is zero or i.
+smooth = st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12, 18, 24))
+divisors = st.one_of(
+    st.builds("({}{}/{})".format, st.sampled_from(("", "-", "+")), st.integers(1, 9), st.integers(1, 6)),
+    st.integers(1, 9).map(str),
+    st.builds("sqrt({})".format, smooth),
+    st.builds("sqrt({}/{})".format, smooth, smooth),
+)
+factors = st.one_of(divisors, st.sampled_from(("i", "(0/1)", "0")))
+products = st.builds(
+    lambda first, rest: first + "".join(f" {op} {factor}" for op, factor in rest),
+    factors,
+    st.lists(st.one_of(st.tuples(st.just("*"), factors), st.tuples(st.just("/"), divisors)), max_size=3),
+)
+valid_texts = st.builds(
+    lambda sign, first, rest: sign + first + "".join(f" {op} {term}" for op, term in rest),
+    st.sampled_from(("", "-", "+")),
+    products,
+    st.lists(st.tuples(st.sampled_from("+-"), products), max_size=3),
+)
+# Rationals, Gaussian rationals and real norms next to general values, so
+# as_rational meets both of its outcomes and each way of missing the first.
+mixed_values = st.one_of(values, coeffs.map(rational), values.map(lambda z: z.norm_sq()),
+                         st.builds(lambda a, b: rational(a) + I * b, coeffs, coeffs.filter(bool)))
+# q = r*r*k: sqrt(q) lies in the basis exactly when k does.
+radicands = st.one_of(
+    st.builds(lambda r, k: r * r * k, coeffs, st.sampled_from((1, 2, 3, 5, 6, 7, 10, 15))),
+    st.fractions(min_value=-2, max_value=60, max_denominator=60),
+)
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -201,14 +235,78 @@ def test_norm_is_real_and_nonnegative(z):
     # |1+sqrt(2)|^2 = 3+2*sqrt(2)) but always real and nonnegative.
     norm = z.norm_sq()
     assert norm.imag_coeffs == (0, 0, 0, 0)
-    assert norm.to_complex().real >= -1e-9
+    assert kernel_oracle.value(norm).is_nonnegative
     assert (norm == ZERO) == (z == ZERO)
 
 
+# ------------------------------------------------------ exact sympy oracle
+# Every kernel result equals sympy's value of the same expression, read from
+# the operands' public coefficients (tests/kernel_oracle.py).
+
+value = kernel_oracle.value
+
+
+@settings(max_examples=60)
 @given(values, values)
-def test_to_complex_is_a_homomorphism(a, b):
-    product = (a * b).to_complex()
-    assert abs(product - a.to_complex() * b.to_complex()) < 1e-9
+def test_sum_difference_and_product_match_sympy(a, b):
+    x, y = value(a), value(b)
+    assert same(value(a + b), x + y)
+    assert same(value(a - b), x - y)
+    assert same(value(a * b), x * y)
+
+
+@settings(max_examples=60)
+@given(values)
+def test_conjugate_and_norm_match_sympy(z):
+    x = value(z)
+    assert same(value(z.conjugate()), sympy.conjugate(x))
+    assert same(value(z.norm_sq()), x * sympy.conjugate(x))
+
+
+@settings(max_examples=60)
+@given(values, coeffs.filter(bool))
+def test_division_by_a_rational_matches_sympy(z, q):
+    assert same(value(z / q), value(z) / kernel_oracle.rational(q))
+
+
+@settings(max_examples=60)
+@given(mixed_values)
+def test_as_rational_raises_exactly_on_irrationals(z):
+    x = value(z)
+    if x.is_rational:
+        assert kernel_oracle.rational(z.as_rational()) == x
+    else:
+        with pytest.raises(NotRational):
+            z.as_rational()
+
+
+@settings(max_examples=60)
+@given(radicands)
+def test_sqrt_rational_and_inv_sqrt_match_sympy(q):
+    exact = kernel_oracle.rational(q)
+    in_basis = q == 0 or (q > 0 and kernel_oracle.squarefree_part(q) in (1, 2, 3, 6))
+    if in_basis:
+        assert same(value(sqrt_rational(q)), sympy.sqrt(exact))
+    else:
+        with pytest.raises(UnsupportedRadical):
+            sqrt_rational(q)
+    if in_basis and q:
+        assert same(value(inv_sqrt(q)), 1 / sympy.sqrt(exact))
+    else:
+        with pytest.raises(UnsupportedRadical):
+            inv_sqrt(q)
+
+
+@settings(max_examples=60)
+@given(valid_texts)
+def test_parse_amplitude_matches_sympy(text):
+    assert same(value(parse_amplitude(text)), kernel_oracle.text(text))
+
+
+@settings(max_examples=60)
+@given(values)
+def test_str_matches_sympy(z):
+    assert same(kernel_oracle.text(str(z)), value(z))
 
 
 def _outcome(parser, text):

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 import support
 from conftest import CIRCUITS, load_circuit
 from hardysim import optics
-from hardysim.circuitdsl import BeamSplitterStage, CircuitError, PhaseStage, PresetStage, parse, render
-from hardysim.state import Arm, ModeLabel, minus, plus
+from hardysim.circuitdsl import (
+    BeamSplitterStage, Circuit, CircuitError, PhaseStage, PresetStage, parse, render,
+)
+from hardysim.state import Arm, ModeLabel, TwoPhotonState, minus, plus
 
 
 def err(text: str) -> CircuitError:
@@ -38,7 +40,7 @@ def test_parse_full_circuit_structure(hardy_full):
     assert hardy_full.discard == frozenset({plus("g"), minus("g"), plus("f"), minus("f")})
     assert hardy_full.detectors == frozenset({plus("c"), plus("d"), minus("c"), minus("d")})
     assert hardy_full.detectors_on(Arm.PLUS) == (plus("c"), plus("d"))
-    assert hardy_full.declared(plus("a")) and not hardy_full.declared(plus("q"))
+    assert "a" in hardy_full.plus_modes and "q" not in hardy_full.plus_modes
 
 
 def test_source_amplitudes(hardy_full):
@@ -271,7 +273,8 @@ def test_render_is_stable():
 
 
 def test_render_rejects_cancelled_source():
-    circuit = parse("modes + u\nmodes - u\nsource (u+,u-) (1/1); (u+,u-) (-1/1)\n")
+    # The parser refuses such a source (zero-source), so build the record directly.
+    circuit = Circuit(("u",), ("u",), TwoPhotonState(), (), frozenset(), frozenset())
     assert circuit.source.is_zero
     with pytest.raises(ValueError):
         render(circuit)

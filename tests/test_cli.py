@@ -407,16 +407,21 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_domain_errors_exit_1(capsys, tmp_path):
-    # Post-selection removing every term, and a source whose terms cancel,
-    # give every command the same message.
-    for name, text in (("dead.circ", "modes + u\nmodes - u\nsource (u+,u-) (1/1)\ndiscard u+\n"),
-                       ("cancelled.circ", "modes + u\nmodes - u\nsource (u+,u-) (1/2) - (1/2)\n")):
+    # Post-selection removing every term gives every command the same message;
+    # a source whose terms cancel is refused by the parser, so by `check` too.
+    for name, text, commands, message in (
+        ("dead.circ", "modes + u\nmodes - u\nsource (u+,u-) (1/1)\ndiscard u+\n",
+         ("evolve", "probs", "paradox", "sample"), "error: post-selection removed every term\n"),
+        ("cancelled.circ", "modes + u\nmodes - u\nsource (u+,u-) (1/2) - (1/2)\n",
+         ("check", "evolve", "probs", "paradox", "sample"),
+         "cancelled.circ:3:1: zero-source: the source terms sum to zero\n"),
+    ):
         path = tmp_path / name
         path.write_text(text)
-        for command in ("evolve", "probs", "paradox", "sample"):
+        for command in commands:
             code, out, err = run(capsys, command, str(path))
             assert (code, out) == (1, ""), (name, command)
-            assert err == "error: post-selection removed every term\n", (name, command)
+            assert err == message, (name, command)
 
 
 CONSUMED_DISCARD = (

@@ -25,6 +25,8 @@ HEAD = (
     "modes - u v c d w x\n"
     "source (u+,u-) (1/1)/sqrt(2); (v+,v-) (1/1)/sqrt(2)\n"
 )
+# More digits than int() converts by default (4300), at every integer token.
+LONG = "1" + "0" * 4999
 PRESET_HEAD = (
     "modes + a b u v g f c d\n"
     "modes - a b u v g f c d\n"
@@ -50,6 +52,12 @@ PINS = [
     (parse, "modes + u\nmodes - u\nsource u+ u- (1/1)\n",
      ("syntax", 3, 8, "expected a pairing like (a+,a-)")),
     (parse, "modes + u\nmodes - u\nsource (u+,u-)\n", ("syntax", 3, 15, "expected an amplitude")),
+    (parse, "modes + u\nmodes - u\n  source (u+,u-) 1; (u+,u-) -1\n",
+     ("zero-source", 3, 3, "the source terms sum to zero")),
+    (parse, f"modes + u\nmodes - u\nsource (u+,u-) (1/{LONG})\n",
+     ("syntax", 3, 16, "integer literal of 5000 digits is too long")),
+    (parse, f"modes + u\nmodes - u\nsource (u+,u-) (1/2)*sqrt({LONG})\n",
+     ("syntax", 3, 22, "integer literal of 5000 digits is too long")),
     # stage kinds
     (parse, HEAD + "stage\n", ("syntax", 4, 6, "expected an element kind after 'stage'")),
     (parse, HEAD + "stage mirror u+\n",
@@ -61,6 +69,8 @@ PINS = [
      ("syntax", 4, 10, "expected a transmissivity like 1/3, got 'half'")),
     (parse, HEAD + "stage bs 1/0 u+ v+ -> c+ d+\n",
      ("syntax", 4, 10, "zero denominator in transmissivity")),
+    (parse, HEAD + f"stage bs 1/{LONG} u+ v+ -> c+ d+\n",
+     ("syntax", 4, 10, "integer literal of 5000 digits is too long")),
     (parse, HEAD + "stage bs 1/2 u+ V+ -> c+ d+\n",
      ("syntax", 4, 17, "expected a mode token, got 'V+'")),
     (parse, HEAD + "stage bs 1/2 u+ -> c+ d+\n",
@@ -81,6 +91,8 @@ PINS = [
     (parse, HEAD + "stage phase 1 u+ v+\n", ("syntax", 4, 20, "expected: stage phase <k> <mode>")),
     (parse, HEAD + "stage phase x u+\n",
      ("syntax", 4, 13, "expected an integer quarter-turn count, got 'x'")),
+    (parse, HEAD + f"stage phase {LONG} u+\n",
+     ("syntax", 4, 13, "integer literal of 5000 digits is too long")),
     (parse, HEAD + "stage phase 1 u\n", ("syntax", 4, 15, "expected an armed mode like g+, got 'u'")),
     (parse, HEAD + "stage bs 1/2 u+ v+ -> c+ d+\nstage phase 1 u+\n",
      ("double-consume", 5, 15, "u+")),
@@ -120,6 +132,7 @@ PINS = [
     (parse_amplitude, "--1", ("expected a factor, found '-'", 1)),
     (parse_amplitude, "(1/2) +", ("expected a factor", 7)),
     (parse_amplitude, "", ("expected a factor", 0)),
+    (parse_amplitude, f"(1/2) - ({LONG}/3)*i", ("integer literal of 5000 digits is too long", 8)),
 ]
 
 

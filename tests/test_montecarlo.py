@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitmix64_reference import SplitMix64
+
 from hardysim import engine, montecarlo
 from hardysim.montecarlo import (
     DEFAULT_SEED,
-    SplitMix64,
     chi_square_tail,
     chi_square_test,
     sample,
